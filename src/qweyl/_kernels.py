@@ -1,14 +1,14 @@
-"""Pure-Python hot kernels.
+"""Hot kernels on sparse term maps.
 
 Sparse polynomials (and PBW term maps) are plain dicts from a packed integer
-key to a coefficient.  The compiled twin in ``_kernels_cy.pyx`` implements the
-same functions with the same semantics; ``qweyl._backend`` picks one at import
-time.  Keeping the surface tiny and dict-shaped is what makes the two backends
-interchangeable.
+key to a coefficient.  ``scalar`` and ``weyl`` call these functions as
+attributes of the module (``_k.mpoly_mul(...)``), so a profiler or tracer can
+wrap them in one place.
 
 Coefficients are ``int``/``fractions.Fraction`` for polynomial dicts and
-``Scalar`` objects for normal-form dicts; the axpy kernels only assume
-``+``, ``*`` and truthiness (zero values are pruned).
+``Scalar`` objects for normal-form dicts; ``axpy_shift`` only assumes
+``+``, ``*`` and truthiness.  Term maps never store a zero coefficient: the
+kernels delete entries that cancel.
 
 Multiplicative key composition is ``k1 + k2 - bias`` where ``bias`` is the
 key of the constant term (exponent offsets cancel that way).
@@ -57,13 +57,6 @@ def mpoly_neg(a):
     return {k: -v for k, v in a.items()}
 
 
-def mpoly_scale(a, c):
-    """Multiply every coefficient by the number c."""
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def mpoly_mul(a, b, bias):
     """Product of two term maps; ``bias`` is the constant-term key."""
     if not a or not b:
@@ -94,24 +87,6 @@ def mpoly_mul_term(a, key, c, bias):
         return {}
     key -= bias
     return {k + key: v * c for k, v in a.items()}
-
-
-def axpy(acc, src, c):
-    """acc += c * src, in place; prunes entries that cancel to zero."""
-    if not c:
-        return acc
-    get = acc.get
-    for k, v in src.items():
-        s = get(k)
-        if s is None:
-            acc[k] = c * v
-        else:
-            s = s + c * v
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    return acc
 
 
 def axpy_shift(acc, src, shift, c):

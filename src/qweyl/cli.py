@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: normalize, verify, suite, rep-check, expand.  Exit codes:
-0 all expected-pass checks passed, 1 at least one verification failed,
-2 usage or parse error.  Machine formats (json, tsv) are byte-stable for
-identical invocations: timings are reported as 0 there (the text format
-shows real times).
+Subcommands: normalize, verify, suite, rep-check, expand.  Each accepts
+only the flags it reads.  Exit codes: 0 all expected-pass checks passed,
+1 at least one verification failed, 2 usage, parse or input error, 3
+internal error.  Machine formats (json, tsv) are byte-stable for identical
+invocations: timings are reported as 0 there (the text format shows real
+times).
 """
 
 from __future__ import annotations
@@ -22,15 +23,18 @@ from .scalar import ScalarError
 from .weyl import Relation, WordError, extended, hq
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--relation", choices=("hq", "extended"), default="hq")
-    p.add_argument("--F", default=None, help="remainder polynomial in N for the extended relation")
-    p.add_argument("--sigma", default=None, help="coefficient on b*a (scalar expression)")
-    p.add_argument("--params", default=None, help="comma-separated bindings, e.g. p=1,q=2/3")
+def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, cases: bool) -> None:
+    """Register the shared flags a subcommand reads; argparse rejects the rest."""
+    if relation:
+        p.add_argument("--relation", choices=("hq", "extended"), default="hq")
+        p.add_argument("--F", default=None, help="remainder polynomial in N for the extended relation")
+        p.add_argument("--sigma", default=None, help="coefficient on b*a (scalar expression)")
+    if params:
+        p.add_argument("--params", default=None, help="comma-separated bindings, e.g. p=1,q=2/3")
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    if cases:
+        p.add_argument("--max-n", type=int, default=4, dest="max_n")
+        p.add_argument("--seed", type=int, default=0)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -39,28 +43,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="print the canonical normal form of an expression")
     p.add_argument("expr", nargs="+")
-    _common_flags(p)
+    _common_flags(p, relation=True, params=True, cases=False)
 
     p = sub.add_parser("verify", help="check LHS == RHS exactly")
     p.add_argument("expr", nargs="+")
-    _common_flags(p)
+    _common_flags(p, relation=True, params=True, cases=False)
 
     p = sub.add_parser("suite", help="run an identity catalog")
     p.add_argument("--catalog", default="all", choices=("all", "core", "errata", "extended", "none"))
     p.add_argument("--ids", default=None, help="comma-separated catalog tags to keep, e.g. THM5,LEM3")
     p.add_argument("--variants", default=None, help="comma-separated variant filter, e.g. as_stated")
-    _common_flags(p)
+    _common_flags(p, relation=False, params=True, cases=True)
 
     p = sub.add_parser("rep-check", help="verify identities inside concrete representations")
     p.add_argument("--rep", choices=("diff", "diff_ab", "diff_ba", "jackson", "delta", "fock"), default=None)
     p.add_argument("--eq", choices=("1a", "1b", "2a", "2b", "3", "4", "20", "22"), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--degree", type=int, default=None)
-    _common_flags(p)
+    _common_flags(p, relation=False, params=False, cases=True)
 
     p = sub.add_parser("expand", help="expand a grade-0 expression in powers of (a*b)")
     p.add_argument("expr", nargs="+")
-    _common_flags(p)
+    _common_flags(p, relation=True, params=True, cases=False)
 
     return top
 
@@ -160,7 +164,6 @@ def _cmd_suite(args) -> int:
         variants=tuple(s for s in (args.variants or "").split(",") if s),
         params=_parse_params(args.params),
         seed=args.seed,
-        jobs=args.jobs,
     )
     report = ident.suite(config)
     _print_report(args, report)
@@ -227,6 +230,10 @@ def main(argv=None) -> int:
     except (par.ParseError, par.EvalError, WordError, ScalarError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means an identity failed; a crash must not read as that
+        print("internal error: %r" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

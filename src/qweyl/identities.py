@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -610,6 +609,8 @@ def thm6_letter_swap_matches_thm5(n: int) -> bool:
 
 @dataclass
 class SuiteConfig:
+    """Which catalog cases ``suite`` runs; it runs them one by one, in catalog order."""
+
     catalog: str = "all"
     max_n: int = 4
     max_k: int = 2
@@ -617,7 +618,6 @@ class SuiteConfig:
     variants: tuple = ()  # optional filter on variants
     params: dict = field(default_factory=dict)
     seed: int = 0
-    jobs: int = 1
 
 
 @dataclass
@@ -853,10 +853,4 @@ def _run_case(case_expected):
 
 def suite(config: SuiteConfig) -> Report:
     """Run every case in the catalog; failures never abort the run."""
-    pairs = catalog_cases(config)
-    if config.jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_case, pairs))
-    else:
-        results = [_run_case(p) for p in pairs]
-    return Report(cases=results)
+    return Report(cases=[_run_case(p) for p in catalog_cases(config)])

@@ -12,7 +12,8 @@ RATIONAL is DIGITS or DIGITS/DIGITS with no intervening spaces; 'd' is the
 ASCII name of the shift step.  Exponents may be negative only where the
 value is an invertible scalar (in practice: powers of q); generator powers
 must be non-negative.  Parse errors carry line, column and the expected
-token set.
+token set.  Parentheses and comm(...) nest at most MAX_NESTING levels deep;
+long flat sums and products have no such limit.
 
 Statements layer on top of expressions:
 
@@ -24,6 +25,7 @@ Statements layer on top of expressions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,6 +62,10 @@ class EvalError(Exception):
 _GEN = ("a", "b", "N")
 _SYM = ("p", "q", "A", "d")
 _KEYWORDS = ("qnum", "comm")
+
+# Each nesting level costs the recursive parser and evaluators a few stack
+# frames; this bound keeps them far below Python's default recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -121,6 +127,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = -1  # parentheses and comm( around the expr being parsed
 
     def peek(self):
         return self.toks[self.pos]
@@ -142,6 +149,10 @@ class _Parser:
         self.fail({value})
 
     def expr(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            _kind, _value, line, col = self.peek()
+            raise ParseError("expression nested more than %d levels deep" % MAX_NESTING, line, col)
         if self._at_op("-"):
             self.advance()
             node = ("neg", self.term())
@@ -151,6 +162,7 @@ class _Parser:
             op = self.advance()[1]
             rhs = self.term()
             node = ("add" if op == "+" else "sub", node, rhs)
+        self.depth -= 1
         return node
 
     def term(self):
@@ -231,6 +243,24 @@ def parse(text: str):
 
 # --- evaluation ----------------------------------------------------------------
 
+_CHAIN = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _fold(ast, leaf):
+    """Evaluate a chain of add/sub/mul nodes, applying ``leaf`` to its operands.
+
+    Sums and products parse into left-deep trees as long as the input; walking
+    the left spine in a loop keeps the recursion depth independent of length.
+    """
+    spine = []
+    while ast[0] in _CHAIN:
+        spine.append(ast)
+        ast = ast[1]
+    acc = leaf(ast)
+    for node in reversed(spine):
+        acc = _CHAIN[node[0]](acc, leaf(node[2]))
+    return acc
+
 
 def evaluate(ast, rel: Relation) -> NormalForm:
     """Bottom-up evaluation into the algebra."""
@@ -248,12 +278,8 @@ def evaluate(ast, rel: Relation) -> NormalForm:
         from .scalar import qnum
 
         return rel.scalar_nf(qnum(ast[1]))
-    if kind == "add":
-        return evaluate(ast[1], rel) + evaluate(ast[2], rel)
-    if kind == "sub":
-        return evaluate(ast[1], rel) - evaluate(ast[2], rel)
-    if kind == "mul":
-        return evaluate(ast[1], rel) * evaluate(ast[2], rel)
+    if kind in _CHAIN:
+        return _fold(ast, lambda x: evaluate(x, rel))
     if kind == "neg":
         return -evaluate(ast[1], rel)
     if kind == "comm":
@@ -293,12 +319,8 @@ def eval_scalar(ast) -> Scalar:
         from .scalar import qnum
 
         return qnum(ast[1])
-    if kind == "add":
-        return eval_scalar(ast[1]) + eval_scalar(ast[2])
-    if kind == "sub":
-        return eval_scalar(ast[1]) - eval_scalar(ast[2])
-    if kind == "mul":
-        return eval_scalar(ast[1]) * eval_scalar(ast[2])
+    if kind in _CHAIN:
+        return _fold(ast, eval_scalar)
     if kind == "neg":
         return -eval_scalar(ast[1])
     if kind == "pow":
@@ -315,12 +337,8 @@ def eval_npoly(ast) -> Poly1:
         raise EvalError("only N may appear in a remainder polynomial")
     if kind in ("sym", "num", "qnum"):
         return Poly1([eval_scalar(ast)], "N")
-    if kind == "add":
-        return eval_npoly(ast[1]) + eval_npoly(ast[2])
-    if kind == "sub":
-        return eval_npoly(ast[1]) - eval_npoly(ast[2])
-    if kind == "mul":
-        return eval_npoly(ast[1]) * eval_npoly(ast[2])
+    if kind in _CHAIN:
+        return _fold(ast, eval_npoly)
     if kind == "neg":
         return -eval_npoly(ast[1])
     if kind == "pow":

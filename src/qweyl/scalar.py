@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._backend import kernels as _k
+from . import _kernels as _k
 
 __all__ = [
     "Scalar",

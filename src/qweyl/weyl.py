@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._backend import kernels as _k
+from . import _kernels as _k
 from .scalar import Poly1, Scalar, one, zero
 
 __all__ = [
@@ -321,6 +321,31 @@ def _acc(out: dict, key: int, c: Scalar) -> None:
             del out[key]
 
 
+def _check_key_range(x: "NormalForm", y: "NormalForm") -> None:
+    """Raise WordError if a term of x*y could overflow the 20-bit m or j field.
+
+    Moving a^j1 across b^i2 contracts at most min(j1, i2) pairs, and each
+    contraction multiplies by F(N), so N-degrees grow by at most
+    deg F * min(j1, i2).  One bound over the largest exponents of both
+    operands covers every term pair of the product.
+    """
+    if not x.terms or not y.terms:
+        return
+    j_of = _MASK.__and__
+    j1 = max(map(j_of, x.terms))
+    j2 = max(map(j_of, y.terms))
+    m = 0
+    rel = x.rel
+    if rel.has_N:
+        m_of = (_MASK << 20).__and__
+        m = (max(map(m_of, x.terms)) + max(map(m_of, y.terms))) >> 20
+        if rel.F:
+            i2 = max(y.terms) >> 40  # i is the key's top field
+            m += rel.F.degree() * min(j1, i2)
+    if j1 + j2 > _MASK or m > _MASK:
+        raise WordError("product exceeds the exponent limit: powers of a and N must stay below 2^20")
+
+
 def heisenberg(sigma, rho, memoize: bool = True) -> Relation:
     """Relation a*b = sigma*b*a + rho with central rho."""
     return Relation(sigma, rho, memoize=memoize)
@@ -417,6 +442,7 @@ class NormalForm:
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         self._check(other)
+        _check_key_range(self, other)
         out: dict = {}
         rel = self.rel
         for k1, c1 in self.terms.items():

@@ -5,11 +5,14 @@ selectable reduction position (leftmost or rightmost reducible pair).  It
 shares no code with the engine's memoized recurrences, so agreement between
 the two is meaningful evidence, and agreement between the two reduction
 orders is the confluence check.
+
+``ab_power_ordering`` is the closed form for a^j b^i in the central case,
+an oracle for ``Relation._R`` that involves no recurrence on words at all.
 """
 
 from fractions import Fraction
 
-from qweyl.scalar import one, zero
+from qweyl.scalar import P, Q, one, zero
 
 _RANK = {"b": 0, "N": 1, "a": 2}
 
@@ -93,3 +96,37 @@ def random_rational(rng, lo=-6, hi=6):
     if num == 0:
         num = 1
     return Fraction(num, den)
+
+
+def _qint(n):
+    """The q-number [n]_q = 1 + q + ... + q^(n-1)."""
+    return sum((Q**t for t in range(n)), zero)
+
+
+def _qfactorial(n):
+    out = one
+    for t in range(1, n + 1):
+        out = out * _qint(t)
+    return out
+
+
+def _qbinomial(n, k):
+    """Gaussian binomial [n k]_q by the q-Pascal rule [n k] = [n-1 k-1] + q^k [n-1 k]."""
+    if k < 0 or k > n:
+        return zero
+    if k == 0 or k == n:
+        return one
+    return _qbinomial(n - 1, k - 1) + Q**k * _qbinomial(n - 1, k)
+
+
+def ab_power_ordering(j, i):
+    """Normal form of a^j b^i under a*b = q*b*a + p, as {(i, m, j): Scalar}.
+
+    a^j b^i = sum_k [j k]_q [i k]_q [k]_q! p^k q^((j-k)(i-k)) b^(i-k) a^(j-k)
+    (Katriel and Kibler, J. Phys. A 25 (1992) 2683).
+    """
+    out = {}
+    for k in range(min(i, j) + 1):
+        c = _qbinomial(j, k) * _qbinomial(i, k) * _qfactorial(k) * P**k * Q ** ((j - k) * (i - k))
+        out[(i - k, 0, j - k)] = c
+    return out

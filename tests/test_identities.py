@@ -410,12 +410,6 @@ def test_suite_json_deterministic():
     assert a == b
 
 
-def test_suite_jobs_equivalent():
-    a = suite(SuiteConfig(catalog="errata", max_n=2, jobs=1)).to_json()
-    b = suite(SuiteConfig(catalog="errata", max_n=2, jobs=4)).to_json()
-    assert a == b
-
-
 def test_suite_id_and_variant_filters():
     report = suite(SuiteConfig(catalog="errata", max_n=2, ids=("THM5",)))
     assert report.cases and all(c.id == "THM5" for c in report.cases)

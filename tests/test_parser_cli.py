@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qweyl import cli
 from qweyl import parser as P
 from qweyl import weyl as W
 from qweyl.parser import EvalError, ParseError, eval_npoly, eval_scalar, evaluate, parse, parse_script, parse_statement
@@ -112,6 +113,24 @@ def test_eval_scalar_and_npoly():
     assert eval_npoly(parse("2*N + 1")) == Poly1([1, 2], "N")
     with pytest.raises(EvalError):
         eval_npoly(parse("a*N"))
+
+
+def test_nesting_limit():
+    n = P.MAX_NESTING
+    assert evaluate(parse("(" * n + "a*b" + ")" * n), REL) == evaluate(parse("a*b"), REL)
+    with pytest.raises(ParseError) as err:
+        parse("(" * (n + 1) + "a" + ")" * (n + 1))
+    assert err.value.col == n + 2
+    with pytest.raises(ParseError):
+        parse("(" * 3000 + "a" + ")" * 3000)
+
+
+def test_long_flat_chains_evaluate():
+    n = 3000
+    assert evaluate(parse("*".join(["a"] * n)), REL) == evaluate(parse("a^%d" % n), REL)
+    assert evaluate(parse(" - ".join(["b"] * n)), REL) == evaluate(parse("%d*b" % (n - 2)), REL) * -1
+    assert eval_scalar(parse("*".join(["q"] * n))) == Scalar.variable("q", n)
+    assert eval_npoly(parse("+".join(["N"] * n))) == Poly1([0, n], "N")
 
 
 # --- printing round-trip ------------------------------------------------------------------
@@ -271,13 +290,6 @@ def test_cli_suite_json_byte_stable():
     assert list(payload["cases"][0]) == ["id", "args", "variant", "params", "status", "residual", "millis"]
 
 
-def test_cli_suite_jobs_stable():
-    base = ("suite", "--catalog", "errata", "--max-n", "2", "--format", "json", "--seed", "3")
-    a = run_cli(*base, "--jobs", "1")
-    b = run_cli(*base, "--jobs", "4")
-    assert a.stdout == b.stdout
-
-
 def test_cli_suite_core_seeded_determinism():
     args = ("suite", "--catalog", "core", "--max-n", "2", "--format", "json", "--seed", "42")
     assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -314,3 +326,56 @@ def test_cli_suite_ids_filter():
     r = run_cli("suite", "--catalog", "errata", "--ids", "LEM3", "--format", "json")
     payload = json.loads(r.stdout)
     assert payload["cases"] and all(c["id"] == "LEM3" for c in payload["cases"])
+
+
+# --- CLI exit codes: 2 for bad input, 3 for internal errors, 1 only for failed identities ----------
+
+
+def cli_main(capsys, *args):
+    rc = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("normalize", "a*b", "--seed", "1"),
+        ("suite", "--relation", "extended"),
+        ("rep-check", "--params", "p=1"),
+    ],
+)
+def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
+    rc, out, err = cli_main(capsys, *args)
+    assert rc == 2
+    assert "unrecognized arguments" in err and not out
+
+
+def test_cli_deep_nesting_exit_2(capsys):
+    rc, out, err = cli_main(capsys, "normalize", "(" * 3000 + "a" + ")" * 3000)
+    assert rc == 2
+    assert "nested more than" in err and not out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "a^1048576 == N", "--relation", "extended"),  # read as pass before the key check
+        ("normalize", "a^1048576*b"),
+        ("normalize", "a^2000000"),
+    ],
+)
+def test_cli_pbw_exponent_overflow_exit_2(capsys, args):
+    rc, out, err = cli_main(capsys, *args)
+    assert rc == 2
+    assert "exponent limit" in err and not out
+
+
+def test_cli_internal_error_exit_3(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("injected\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_normalize", crash)
+    rc, out, err = cli_main(capsys, "normalize", "a")
+    assert rc == 3
+    assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1

@@ -8,8 +8,10 @@ import pytest
 from qweyl import scalar as S
 from qweyl.scalar import P, Q, Poly1, one, qnum
 from qweyl.weyl import (
+    NormalForm,
     RelationMismatchError,
     WordError,
+    _key,
     commutator,
     extended,
     grade,
@@ -20,7 +22,7 @@ from qweyl.weyl import (
     substitute_params,
 )
 
-from oracles import nf_terms, random_rational, random_word, reduce_word
+from oracles import ab_power_ordering, nf_terms, random_rational, random_word, reduce_word
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +224,15 @@ def test_confluence_extended_words():
         assert nf_terms(nf_of_word(word, ext)) == left, word
 
 
+@pytest.mark.parametrize("j", range(7))
+@pytest.mark.parametrize("i", range(7))
+def test_ab_power_ordering_closed_form(rel, i, j):
+    want = ab_power_ordering(j, i)
+    assert nf_terms(rel.word("a" * j + "b" * i)) == want
+    # a^j * b^i as one product goes through the memoized _R(j, i) table directly
+    assert nf_terms(rel.gen("a") ** j * rel.gen("b") ** i) == want
+
+
 def test_associativity_random_triples():
     rng = random.Random(4242)
     rel = hq()
@@ -243,6 +254,34 @@ def test_associativity_extended():
             for _ in range(3)
         )
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+# --- PBW key range: the packed m and j fields are 20 bits wide ----------------------------------------------
+
+
+def test_a_power_at_key_limit():
+    limit = 1 << 20
+    a = hq().gen("a")
+    assert nf_terms(a ** (limit - 1)) == {(0, 0, limit - 1): one}
+    with pytest.raises(WordError):
+        a**limit
+    with pytest.raises(WordError):
+        a ** (limit - 1) * a
+
+
+def test_N_degree_at_key_limit():
+    ext = extended()
+    half = NormalForm(ext, {_key(0, 1 << 19, 0): one})
+    with pytest.raises(WordError):
+        half * half
+
+
+def test_remainder_degree_counts_toward_key_limit():
+    # F = N^2: each of the 2^19 contractions in a^(2^19) * b^(2^19) adds 2 to the N-degree
+    ext = extended(F=Poly1([0, 0, 1], "N"))
+    x, y = ext.gen("a") ** (1 << 19), ext.gen("b") ** (1 << 19)
+    with pytest.raises(WordError):
+        x * y
 
 
 # --- extended-relation shift laws -------------------------------------------------------------------------
