@@ -55,10 +55,8 @@ from .reps import (
     PolyRep,
     TruncationError,
     affine_fock,
-    apply,
     check_identity_on_basis,
     delta_rep,
-    delta_rep_finite_difference,
     diff_ab,
     diff_ba,
     fock_matrix,
@@ -84,7 +82,6 @@ from .scalar import (
     qnum,
     qnum_double_alpha,
     qnum_symbolic,
-    scalar_arith,
     substitute,
     symbol,
     zero,
@@ -97,14 +94,8 @@ from .weyl import (
     WordError,
     commutator,
     extended,
-    grade,
     heisenberg,
     hq,
-    mul,
-    nf_of_word,
-    power,
-    render,
-    substitute_params,
 )
 
 __version__ = "0.1.0"
@@ -128,7 +119,6 @@ __all__ = [
     "qnum",
     "qnum_symbolic",
     "qnum_double_alpha",
-    "scalar_arith",
     "substitute",
     # engine
     "Relation",
@@ -138,13 +128,7 @@ __all__ = [
     "heisenberg",
     "hq",
     "extended",
-    "nf_of_word",
-    "mul",
-    "power",
     "commutator",
-    "grade",
-    "substitute_params",
-    "render",
     # identities
     "Verdict",
     "IdentityCase",
@@ -176,8 +160,6 @@ __all__ = [
     "diff_ba",
     "jackson",
     "delta_rep",
-    "delta_rep_finite_difference",
-    "apply",
     "rep_relation_check",
     "realize",
     "morphism_check",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import identities as ident
 from . import parser as par
@@ -69,23 +68,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_params(text: str | None) -> dict:
-    if not text:
-        return {}
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, sep, value = piece.partition("=")
-        if not sep:
-            raise par.ParseError("--params entries look like p=1", 1, 1, {"="})
-        negative = value.strip().startswith("-")
-        raw = value.strip().lstrip("-")
-        out[name.strip()] = -Fraction(raw) if negative else Fraction(raw)
-    return out
-
-
 def _relation_from(args) -> Relation:
     if args.relation == "extended":
         F = par.eval_npoly(par.parse(args.F)) if args.F else None
@@ -97,9 +79,6 @@ def _relation_from(args) -> Relation:
         rel = hq()
         if args.sigma:
             rel = Relation(par.eval_scalar(par.parse(args.sigma)), rel.rho)
-    params = _parse_params(args.params)
-    if params:
-        rel = rel.bind(params)
     return rel
 
 
@@ -113,46 +92,41 @@ def _emit_result(args, payload: dict) -> None:
             print("%s: %s" % (k, v))
 
 
-def _eval_bound(ast, rel, args):
-    """Evaluate and then specialize any bound parameters in the coefficients."""
-    nf = par.evaluate(ast, rel)
-    params = _parse_params(args.params)
-    return nf.substitute(params) if params else nf
+def _run_statement(args, kind: str) -> dict:
+    """Parse the subcommand's expression words as one statement and run it."""
+    rel = _relation_from(args)
+    bindings = par.parse_bindings(args.params or "")
+    text = " ".join(args.expr)
+    # verify splits at '=='; the others parse the bare words, so error
+    # columns count from the start of the expression
+    if kind == "verify":
+        stmt = par.parse_statement("verify " + text)
+    else:
+        stmt = par.Statement(kind, (par.parse(text),))
+    return par.run_statement(stmt, rel, bindings)
 
 
 def _cmd_normalize(args) -> int:
-    rel = _relation_from(args)
-    nf = _eval_bound(par.parse(" ".join(args.expr)), rel, args)
+    row = _run_statement(args, "normalize")
     if args.format == "text":
-        print(nf.render())
+        print(row["result"])
     else:
-        _emit_result(args, {"result": nf.render()})
+        _emit_result(args, {"result": row["result"]})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    rel = _relation_from(args)
-    stmt = par.parse_statement("verify " + " ".join(args.expr))
-    if stmt.kind != "verify":
-        raise par.ParseError("verify needs LHS == RHS", 1, 1, {"=="})
-    lhs = _eval_bound(stmt.exprs[0], rel, args)
-    rhs = _eval_bound(stmt.exprs[1], rel, args)
-    residual = lhs - rhs
-    status = "pass" if residual.is_zero() else "fail"
-    _emit_result(args, {"status": status, "residual": residual.render() if residual else ""})
-    return 0 if status == "pass" else 1
+    row = _run_statement(args, "verify")
+    _emit_result(args, {"status": row["status"], "residual": row["result"]})
+    return 0 if row["status"] == "pass" else 1
 
 
 def _cmd_expand(args) -> int:
-    rel = _relation_from(args)
-    nf = _eval_bound(par.parse(" ".join(args.expr)), rel, args)
-    try:
-        expansion = ident.expand_in_ab_powers(nf)
-    except ident.NotExpressibleError as exc:
-        _emit_result(args, {"status": "fail", "error": str(exc)})
+    row = _run_statement(args, "expand")
+    if row["status"] == "fail":
+        _emit_result(args, {"status": "fail", "error": row["result"]})
         return 1
-    coeffs = [c.text() if hasattr(c, "text") else c.compact() for c in expansion.coeffs]
-    _emit_result(args, {"status": "pass", "coefficients": json.dumps(coeffs)})
+    _emit_result(args, {"status": "pass", "coefficients": json.dumps(row["result"])})
     return 0
 
 
@@ -162,7 +136,7 @@ def _cmd_suite(args) -> int:
         max_n=args.max_n,
         ids=tuple(s for s in (args.ids or "").split(",") if s),
         variants=tuple(s for s in (args.variants or "").split(",") if s),
-        params=_parse_params(args.params),
+        params=par.parse_bindings(args.params or ""),
         seed=args.seed,
     )
     report = ident.suite(config)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -284,16 +283,11 @@ def verify(case: IdentityCase) -> Verdict:
     with Stopwatch() as sw:
         if case.id == "LEM3":
             res = sl2q_solve(sl2q_triple(case.relation, alpha=None if case.n < 0 else case.n, variant=case.variant))
-            if res.ok:
-                return Verdict("pass", None, time.perf_counter() - sw.t0, detail=res.detail)
-            return Verdict(
-                "fail",
-                res.residual,
-                time.perf_counter() - sw.t0,
-                detail=res.detail,
-            )
-        lhs, rhs = build(case)
-        residual = lhs - rhs
+        else:
+            lhs, rhs = build(case)
+            residual = lhs - rhs
+    if case.id == "LEM3":
+        return Verdict("pass" if res.ok else "fail", None if res.ok else res.residual, sw.seconds, detail=res.detail)
     if residual.is_zero():
         return Verdict("pass", None, sw.seconds)
     return Verdict("fail", residual, sw.seconds, detail=_residual_detail(case.relation, residual))
@@ -767,7 +761,7 @@ def _order_assignments(count: int):
     return out
 
 
-def _errata_cases(max_n: int, params: dict, seed: int):
+def _errata_cases(max_n: int):
     sym = hq()
     at_p1 = hq(p=1)
     cases = []
@@ -782,7 +776,7 @@ def _errata_cases(max_n: int, params: dict, seed: int):
     return cases
 
 
-def _extended_cases(max_n: int, params: dict, seed: int):
+def _extended_cases(max_n: int):
     f_one = extended()  # sigma = p, F = 1, tau = q
     sl2 = extended(sigma=1, F=Poly1([0, 2], "N"), tau=1)
     cases = []
@@ -806,14 +800,14 @@ def catalog_cases(config: SuiteConfig):
     if config.catalog == "core":
         pairs = _core_cases(config.max_n, config.max_k, params, config.seed)
     elif config.catalog == "errata":
-        pairs = _errata_cases(config.max_n, params, config.seed)
+        pairs = _errata_cases(config.max_n)
     elif config.catalog == "extended":
-        pairs = _extended_cases(config.max_n, params, config.seed)
+        pairs = _extended_cases(config.max_n)
     elif config.catalog == "all":
         pairs = (
             _core_cases(config.max_n, config.max_k, params, config.seed)
-            + _errata_cases(config.max_n, params, config.seed)
-            + _extended_cases(config.max_n, params, config.seed)
+            + _errata_cases(config.max_n)
+            + _extended_cases(config.max_n)
         )
     elif config.catalog == "none":
         pairs = []

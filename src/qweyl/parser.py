@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalar import Poly1, Scalar, zero
-from .weyl import NormalForm, Relation, WordError
+from .weyl import NormalForm, Relation, WordError, commutator
 
 __all__ = [
     "ParseError",
@@ -41,8 +41,10 @@ __all__ = [
     "eval_npoly",
     "print_canonical",
     "Statement",
+    "parse_bindings",
     "parse_statement",
     "parse_script",
+    "run_statement",
     "run_script",
 ]
 
@@ -283,8 +285,7 @@ def evaluate(ast, rel: Relation) -> NormalForm:
     if kind == "neg":
         return -evaluate(ast[1], rel)
     if kind == "comm":
-        x, y = evaluate(ast[1], rel), evaluate(ast[2], rel)
-        return x * y - y * x
+        return commutator(evaluate(ast[1], rel), evaluate(ast[2], rel))
     if kind == "pow":
         base = evaluate(ast[1], rel)
         n = ast[2]
@@ -366,7 +367,7 @@ def parse_statement(text: str) -> Statement:
     stripped = text.strip()
     head = stripped.split(None, 1)[0] if stripped else ""
     if head == "with":
-        return _parse_with(stripped[len("with") :])
+        return Statement("with", (), parse_bindings(stripped[len("with") :]))
     if head in ("normalize", "expand"):
         body = stripped[len(head) :]
         return Statement(head, (parse(body),))
@@ -385,26 +386,25 @@ def _parse_verify(body: str) -> Statement:
     return Statement("verify", (parse(left), parse(right)))
 
 
-def _parse_with(body: str) -> Statement:
+def parse_bindings(text: str) -> dict:
+    """``NAME=RATIONAL, ...`` as written in with-clauses and ``--params``.
+
+    NAME is one of p, q, A, d; RATIONAL is anything ``Fraction`` reads.
+    """
     bindings = {}
-    for piece in body.split(","):
+    for piece in text.split(","):
         piece = piece.strip().rstrip(":")
         if not piece:
             continue
         name, sep, value = piece.partition("=")
         name = name.strip()
-        value = value.strip()
         if not sep or name not in _SYM:
-            raise ParseError("with-clause binds p, q, A or d", 1, 1, set(_SYM))
-        negative = value.startswith("-")
-        if negative:
-            value = value[1:].strip()
+            raise ParseError("a binding is NAME=RATIONAL with NAME one of p, q, A, d", 1, 1, set(_SYM))
         try:
-            frac = Fraction(value)
+            bindings[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError("binding value must be rational", 1, 1, {"rational"}) from None
-        bindings[name] = -frac if negative else frac
-    return Statement("with", (), bindings)
+    return bindings
 
 
 def parse_script(text: str) -> list[Statement]:
@@ -416,41 +416,42 @@ def parse_script(text: str) -> list[Statement]:
     return out
 
 
-def run_script(text: str, rel: Relation) -> list[dict]:
-    """Execute a statement sequence; with-clauses bind parameters for the rest.
+def run_statement(stmt: Statement, rel: Relation, bindings: dict) -> dict:
+    """Execute one normalize, verify or expand statement under ``bindings``.
 
-    Each non-with statement yields one result row: {"kind", "status",
-    "result"}; verify rows carry the residual text, expand rows the
-    coefficient list.
+    The result row is {"kind", "status", "result"}: normalize rows carry the
+    canonical text, verify rows the residual text ("" on pass), expand rows
+    the coefficient list (or the reason the expansion fails).
     """
     from .identities import NotExpressibleError, expand_in_ab_powers
 
+    bound_rel = rel.bind(bindings) if bindings else rel
+    values = [evaluate(e, bound_rel) for e in stmt.exprs]
+    if bindings:
+        values = [v.substitute(bindings) for v in values]
+    if stmt.kind == "normalize":
+        return {"kind": "normalize", "status": "pass", "result": values[0].render()}
+    if stmt.kind == "verify":
+        residual = values[0] - values[1]
+        return {"kind": "verify", "status": "fail" if residual else "pass", "result": residual.render() if residual else ""}
+    try:
+        exp = expand_in_ab_powers(values[0])
+    except NotExpressibleError as exc:
+        return {"kind": "expand", "status": "fail", "result": str(exc)}
+    coeffs = [c.text() if hasattr(c, "text") else c.compact() for c in exp.coeffs]
+    return {"kind": "expand", "status": "pass", "result": coeffs}
+
+
+def run_script(text: str, rel: Relation) -> list[dict]:
+    """Execute a statement sequence; with-clauses bind parameters for the rest.
+
+    Each non-with statement yields one ``run_statement`` row.
+    """
     bindings: dict = {}
     rows: list[dict] = []
     for stmt in parse_script(text):
         if stmt.kind == "with":
             bindings.update(stmt.bindings)
-            continue
-        bound_rel = rel.bind(bindings) if bindings else rel
-        values = [evaluate(e, bound_rel) for e in stmt.exprs]
-        if bindings:
-            values = [v.substitute(bindings) for v in values]
-        if stmt.kind == "normalize":
-            rows.append({"kind": "normalize", "status": "pass", "result": values[0].render()})
-        elif stmt.kind == "verify":
-            residual = values[0] - values[1]
-            rows.append(
-                {
-                    "kind": "verify",
-                    "status": "pass" if residual.is_zero() else "fail",
-                    "result": residual.render() if residual else "",
-                }
-            )
-        elif stmt.kind == "expand":
-            try:
-                exp = expand_in_ab_powers(values[0])
-                coeffs = [c.text() if hasattr(c, "text") else c.compact() for c in exp.coeffs]
-                rows.append({"kind": "expand", "status": "pass", "result": coeffs})
-            except NotExpressibleError as exc:
-                rows.append({"kind": "expand", "status": "fail", "result": str(exc)})
+        else:
+            rows.append(run_statement(stmt, rel, bindings))
     return rows

@@ -35,9 +35,7 @@ __all__ = [
     "diff_ba",
     "jackson",
     "delta_rep",
-    "delta_rep_finite_difference",
     "ALL_POLY_REPS",
-    "apply",
     "rep_relation_check",
     "realize",
     "morphism_check",
@@ -157,11 +155,6 @@ def delta_rep() -> PolyRep:
     return PolyRep("delta", one, one)
 
 
-def delta_rep_finite_difference() -> PolyRep:
-    """Same operators written with the backward difference: b = x(1 - d*D-)."""
-    return delta_rep()
-
-
 def ALL_POLY_REPS() -> dict[str, PolyRep]:
     return {
         "diff_ab": diff_ab(),
@@ -169,10 +162,6 @@ def ALL_POLY_REPS() -> dict[str, PolyRep]:
         "jackson": jackson(),
         "delta": delta_rep(),
     }
-
-
-def apply(rep: PolyRep, gen: str, f: Poly1) -> Poly1:
-    return rep.apply(gen, f)
 
 
 def rep_relation_check(rep: PolyRep, K: int) -> Verdict:
@@ -594,18 +583,11 @@ def eq2_check(rep: PolyRep, n: int, form: str, K: int | None = None) -> Verdict:
         lhs = op_pow(op_compose(a, b, a), n)
         rhs = op_compose(op_pow(a, n), op_pow(b, n), op_pow(a, n))
     verdict = check_identity_on_basis(lhs, rhs, K)
-    if not rep.kind.startswith("diff"):
-        # layered evidence for shift-style actions: compare with the exact
-        # algebraic verdict of the same collapse
-        from .identities import IdentityCase, verify
-        from .weyl import heisenberg
-
-        cid = "THM1b" if form == "a" else "THM1a"
-        engine = verify(IdentityCase(cid, heisenberg(rep.sigma, rep.rho), n=n))
-        if engine.passed != verdict.passed:
-            return Verdict("fail", verdict.residual, verdict.elapsed, detail="basis check disagrees with the engine verdict")
-        verdict.detail = (verdict.detail + "; engine cross-check agrees").strip("; ")
-    return verdict
+    if rep.kind.startswith("diff"):
+        return verdict
+    # layered evidence for shift-style actions: compare with the exact
+    # algebraic verdict of the same collapse
+    return _engine_cross_check(verdict, "THM1b" if form == "a" else "THM1a", rep.sigma, rep.rho, n)
 
 
 def eq3_check(n: int, K: int | None = None) -> Verdict:
@@ -624,18 +606,20 @@ def _u_backward(f: Poly1) -> Poly1:
     return f - _shift(f, -_D)
 
 
-def _engine_ladder_verdict(sigma, rho, n: int) -> bool:
-    """The abstract-engine verdict for the ladder this basis check realizes.
+def _engine_cross_check(verdict: Verdict, cid: str, sigma, rho, n: int) -> Verdict:
+    """Layer a basis verdict with the engine's verdict on the same identity.
 
     Shift-style representations act on function spaces where the basis
     argument is subtler, so their checks are layered: the exact algebraic
-    identity is verified independently and must agree.
+    identity ``cid`` is verified independently and must agree.
     """
     from .identities import IdentityCase, verify
-    from .weyl import heisenberg
 
-    rel = heisenberg(sigma, rho)
-    return verify(IdentityCase("THM5", rel, n=n)).passed
+    engine = verify(IdentityCase(cid, heisenberg(sigma, rho), n=n))
+    if engine.passed != verdict.passed:
+        return Verdict("fail", verdict.residual, verdict.elapsed, detail="basis check disagrees with the engine verdict")
+    verdict.detail = (verdict.detail + "; engine cross-check agrees").strip("; ")
+    return verdict
 
 
 def eq4_check(n: int, K: int | None = None) -> Verdict:
@@ -647,10 +631,7 @@ def eq4_check(n: int, K: int | None = None) -> Verdict:
     lhs = op_compose(*ops)
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_u_backward, n + 1))
     verdict = check_identity_on_basis(lhs, rhs, K or 4 * (n + 1) + 4)
-    if verdict.passed != _engine_ladder_verdict(one, one, n):
-        return Verdict("fail", verdict.residual, verdict.elapsed, detail="basis check disagrees with the engine verdict")
-    verdict.detail = (verdict.detail + "; engine cross-check agrees").strip("; ")
-    return verdict
+    return _engine_cross_check(verdict, "THM5", one, one, n)
 
 
 def eq20_check(n: int, K: int | None = None) -> Verdict:
@@ -662,10 +643,7 @@ def eq20_check(n: int, K: int | None = None) -> Verdict:
     lhs = op_compose(*ops)
     rhs = op_scale(_Q ** (n * (n + 1) // 2), op_compose(op_pow(b, n + 1), op_pow(a, n + 1)))
     verdict = check_identity_on_basis(lhs, rhs, K or 4 * (n + 1) + 4)
-    if verdict.passed != _engine_ladder_verdict(_Q, one, n):
-        return Verdict("fail", verdict.residual, verdict.elapsed, detail="basis check disagrees with the engine verdict")
-    verdict.detail = (verdict.detail + "; engine cross-check agrees").strip("; ")
-    return verdict
+    return _engine_cross_check(verdict, "THM5", _Q, one, n)
 
 
 def eq22_constant(n: int, K: int | None = None):

@@ -44,7 +44,6 @@ __all__ = [
     "qnum",
     "qnum_symbolic",
     "qnum_double_alpha",
-    "scalar_arith",
     "substitute",
     "Poly1",
     "RatFun1",
@@ -332,11 +331,21 @@ def _coeff_norm(v):
     return v
 
 
+def join_signed(terms) -> str:
+    """Join (negative, magnitude text) pairs as ``-x + y - z``; "0" when empty."""
+    pieces = []
+    for negative, text in terms:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
+            pieces.append("-")
+        pieces.append(text)
+    return "".join(pieces) or "0"
+
+
 def _mp_text(f: dict) -> str:
     """Terms in descending graded-lex order: ``q^2 + q + 1``, ``-p + 1``."""
-    if not f:
-        return "0"
-    pieces = []
+    terms = []
     for k in sorted(f, key=_order_key, reverse=True):
         v = _coeff_norm(f[k])
         neg = v < 0
@@ -349,12 +358,8 @@ def _mp_text(f: dict) -> str:
                 factors.append("%s^%d" % (name, e))
         if not factors or mag != 1:
             factors.insert(0, str(mag))
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append("-" + text if neg else text)
-        else:
-            pieces.append((" - " if neg else " + ") + text)
-    return "".join(pieces)
+        terms.append((neg, "*".join(factors)))
+    return join_signed(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +630,6 @@ A = symbol("A")
 D = symbol("d")
 
 
-def scalar_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Dispatch form of +, -, *, / used by table-driven callers."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ScalarError("unknown op %r" % op)
-
-
 def qnum(n: int) -> Scalar:
     """The q-number {n} = 1 + q + ... + q^(n-1), built as the explicit sum."""
     if n < 0:
@@ -858,9 +850,7 @@ class Poly1:
         return Poly1([c / lead for c in self.coeffs], self.var)
 
     def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
             if c.is_zero():
@@ -881,11 +871,8 @@ class Poly1:
                 piece = "%s*%s" % (ct, mono)
             else:
                 piece = ct
-            if not parts:
-                parts.append("-" + piece if negative else piece)
-            else:
-                parts.append((" - " if negative else " + ") + piece)
-        return "".join(parts)
+            terms.append((negative, piece))
+        return join_signed(terms)
 
     def __repr__(self):
         return "Poly1(%s)" % self.text()

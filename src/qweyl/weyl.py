@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels as _k
-from .scalar import Poly1, Scalar, one, zero
+from .scalar import Poly1, Scalar, join_signed, one, zero
 
 __all__ = [
     "Relation",
@@ -36,13 +36,7 @@ __all__ = [
     "heisenberg",
     "hq",
     "extended",
-    "nf_of_word",
-    "mul",
-    "power",
     "commutator",
-    "grade",
-    "substitute_params",
-    "render",
 ]
 
 
@@ -87,7 +81,6 @@ class Relation:
         "F",
         "tau",
         "has_N",
-        "memoize",
         "_r1",
         "_r",
         "_mid",
@@ -96,7 +89,7 @@ class Relation:
         "_tau_num",
     )
 
-    def __init__(self, sigma, rho=None, F: Poly1 | None = None, tau=None, memoize: bool = True):
+    def __init__(self, sigma, rho=None, F: Poly1 | None = None, tau=None):
         self.sigma = Scalar.of(sigma)
         self.has_N = F is not None
         if self.has_N:
@@ -109,7 +102,6 @@ class Relation:
             self.rho = Scalar.of(rho if rho is not None else 0)
             self.F = None
             self.tau = None
-        self.memoize = memoize
         self._r1: dict = {}
         self._r: dict = {}
         self._mid: dict = {}
@@ -147,13 +139,8 @@ class Relation:
                 self.sigma.substitute(bindings),
                 F=self.F.map_coeffs(lambda c: c.substitute(bindings)),
                 tau=self.tau.substitute(bindings),
-                memoize=self.memoize,
             )
-        return Relation(
-            self.sigma.substitute(bindings),
-            self.rho.substitute(bindings),
-            memoize=self.memoize,
-        )
+        return Relation(self.sigma.substitute(bindings), self.rho.substitute(bindings))
 
     # -- element constructors -------------------------------------------------
 
@@ -205,8 +192,7 @@ class Relation:
         if got is None:
             affine = Poly1([self.tau_number(t), self.tau**t], "N")
             got = affine**m
-            if self.memoize:
-                self._shift_pow[(m, t)] = got
+            self._shift_pow[(m, t)] = got
         return got
 
     def _fshift(self, t: int) -> Poly1:
@@ -214,8 +200,7 @@ class Relation:
         got = self._f_shift.get(t)
         if got is None:
             got = self.F.compose_affine(self.tau**t, self.tau_number(t))
-            if self.memoize:
-                self._f_shift[t] = got
+            self._f_shift[t] = got
         return got
 
     def _R1(self, i: int) -> dict:
@@ -245,10 +230,8 @@ class Relation:
                         out[base] = s
                     elif got0 is not None:
                         del out[base]
-            out = {k: v for k, v in out.items() if v}
-            if self.memoize:
-                self._r1[i] = out
-            got = out
+            got = {k: v for k, v in out.items() if v}
+            self._r1[i] = got
         return got
 
     def _R(self, j: int, i: int) -> dict:
@@ -275,8 +258,7 @@ class Relation:
                         for m2, c3 in enumerate(self._shiftpow(mu, e).coeffs):
                             if c3:
                                 _acc(out, _key(g, nu + m2, e + beta), cc * c3)
-            if self.memoize:
-                self._r[(j, i)] = out
+            self._r[(j, i)] = out
             got = out
         return got
 
@@ -298,8 +280,7 @@ class Relation:
                 for m, c2 in enumerate(npoly.coeffs):
                     if c2:
                         _acc(out, _key(alpha, m, beta), c * c2)
-            if self.memoize:
-                self._mid[key] = out
+            self._mid[key] = out
             got = out
         return got
 
@@ -346,12 +327,12 @@ def _check_key_range(x: "NormalForm", y: "NormalForm") -> None:
         raise WordError("product exceeds the exponent limit: powers of a and N must stay below 2^20")
 
 
-def heisenberg(sigma, rho, memoize: bool = True) -> Relation:
+def heisenberg(sigma, rho) -> Relation:
     """Relation a*b = sigma*b*a + rho with central rho."""
-    return Relation(sigma, rho, memoize=memoize)
+    return Relation(sigma, rho)
 
 
-def hq(p=None, q=None, memoize: bool = True) -> Relation:
+def hq(p=None, q=None) -> Relation:
     """The deformed Heisenberg relation a*b - q*b*a = p.
 
     Omitted parameters stay symbolic.  Note the slot naming: sigma is the
@@ -361,10 +342,10 @@ def hq(p=None, q=None, memoize: bool = True) -> Relation:
 
     sigma = _Q if q is None else Scalar.of(q)
     rho = _P if p is None else Scalar.of(p)
-    return Relation(sigma, rho, memoize=memoize)
+    return Relation(sigma, rho)
 
 
-def extended(sigma=None, F: Poly1 | None = None, tau=None, memoize: bool = True) -> Relation:
+def extended(sigma=None, F: Poly1 | None = None, tau=None) -> Relation:
     """The three-generator relation a*b - sigma*b*a = F(N) with N-shifts by tau.
 
     Defaults: sigma = p (symbolic), F = 1, tau = q (symbolic).
@@ -374,7 +355,7 @@ def extended(sigma=None, F: Poly1 | None = None, tau=None, memoize: bool = True)
     sigma = _P if sigma is None else sigma
     F = Poly1([1], "N") if F is None else F
     tau = _Q if tau is None else tau
-    return Relation(sigma, F=F, tau=tau, memoize=memoize)
+    return Relation(sigma, F=F, tau=tau)
 
 
 class NormalForm:
@@ -493,9 +474,7 @@ class NormalForm:
 
     def render(self) -> str:
         """Canonical text: terms by (i, m, j) descending, e.g. ``q*b*a + p``."""
-        if not self.terms:
-            return "0"
-        pieces = []
+        terms = []
         for k in sorted(self.terms, key=_ikey, reverse=True):
             c = self.terms[k]
             mono = _mono_text(*_ikey(k))
@@ -509,11 +488,8 @@ class NormalForm:
                 text = mono
             else:
                 text = "%s*%s" % (ct, mono)
-            if not pieces:
-                pieces.append("-" + text if negative else text)
-            else:
-                pieces.append((" - " if negative else " + ") + text)
-        return "".join(pieces)
+            terms.append((negative, text))
+        return join_signed(terms)
 
     def __repr__(self):
         return "NormalForm(%s)" % self.render()
@@ -522,33 +498,5 @@ class NormalForm:
         return self.render()
 
 
-# -- module-level operation set ----------------------------------------------------
-
-
-def nf_of_word(word, rel: Relation) -> NormalForm:
-    """Normal form of a product of generators, e.g. ``nf_of_word("abb", rel)``."""
-    return rel.word(word)
-
-
-def mul(x: NormalForm, y: NormalForm) -> NormalForm:
-    return x * y
-
-
-def power(x: NormalForm, n: int) -> NormalForm:
-    return x**n
-
-
 def commutator(x: NormalForm, y: NormalForm) -> NormalForm:
     return x * y - y * x
-
-
-def grade(x: NormalForm):
-    return x.grade()
-
-
-def substitute_params(x: NormalForm, bindings: dict) -> NormalForm:
-    return x.substitute(bindings)
-
-
-def render(x: NormalForm) -> str:
-    return x.render()

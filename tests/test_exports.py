@@ -1,0 +1,25 @@
+"""Every public name resolves, and removed aliases stay removed."""
+
+import importlib
+
+import pytest
+
+MODULES = ("qweyl", "qweyl.scalar", "qweyl.weyl", "qweyl.identities", "qweyl.reps", "qweyl.parser")
+
+# thin aliases of a method or an operator; call the method or operator instead
+REMOVED = {
+    "qweyl.weyl": ("nf_of_word", "mul", "power", "grade", "substitute_params", "render"),
+    "qweyl.reps": ("apply", "delta_rep_finite_difference"),
+    "qweyl.scalar": ("scalar_arith",),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_exports_resolve(name):
+    module = importlib.import_module(name)
+    assert len(module.__all__) == len(set(module.__all__))
+    for attr in module.__all__:
+        assert hasattr(module, attr), "%s.%s" % (name, attr)
+    removed = sum(REMOVED.values(), ()) if name == "qweyl" else REMOVED.get(name, ())
+    for attr in removed:
+        assert attr not in module.__all__ and not hasattr(module, attr), "%s.%s" % (name, attr)

@@ -187,6 +187,10 @@ def test_statement_rejects_bad_bindings():
     with pytest.raises(ParseError):
         parse_statement("with p=oops")
     with pytest.raises(ParseError):
+        parse_statement("with p=1/0")
+    with pytest.raises(ParseError):
+        parse_statement("with p=--2")
+    with pytest.raises(ParseError):
         parse_statement("verify a*b")
 
 
@@ -349,6 +353,20 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert "unrecognized arguments" in err and not out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("normalize", "a*b", "--params", "p=1/0"),
+        ("suite", "--catalog", "none", "--params", "p=1/0"),
+        ("normalize", "a*b", "--params", "p=--2"),
+    ],
+)
+def test_cli_bad_bindings_exit_2(capsys, args):
+    rc, out, err = cli_main(capsys, *args)
+    assert rc == 2
+    assert err.startswith("error: ") and not out
 
 
 def test_cli_deep_nesting_exit_2(capsys):

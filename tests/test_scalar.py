@@ -1,5 +1,6 @@
 """Coefficient-field tests: q-numbers, normalization, substitution, axioms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from qweyl.scalar import (
     qnum,
     qnum_double_alpha,
     qnum_symbolic,
-    scalar_arith,
     substitute,
     zero,
 )
@@ -105,14 +105,7 @@ def test_division_by_zero_is_distinct_error():
     with pytest.raises(ScalarDivisionError):
         one / zero
     with pytest.raises(ScalarDivisionError):
-        scalar_arith(P, zero, "div")
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(P, Q, "add") == P + Q
-    assert scalar_arith(P, Q, "sub") == P - Q
-    assert scalar_arith(P, Q, "mul") == P * Q
-    assert scalar_arith(P, Q, "div") == P / Q
+        P / zero
 
 
 def test_denominator_unit_normalized():
@@ -186,8 +179,8 @@ def _small_scalars():
 def _scalars(draw):
     x = draw(_small_scalars())
     y = draw(_small_scalars())
-    op = draw(st.sampled_from(["add", "sub", "mul"]))
-    return scalar_arith(x, y, op)
+    op = draw(st.sampled_from([operator.add, operator.sub, operator.mul]))
+    return op(x, y)
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,12 +14,7 @@ from qweyl.weyl import (
     _key,
     commutator,
     extended,
-    grade,
     hq,
-    mul,
-    nf_of_word,
-    power,
-    substitute_params,
 )
 
 from oracles import ab_power_ordering, nf_terms, random_rational, random_word, reduce_word
@@ -34,31 +29,31 @@ def rel():
 
 
 def test_defining_relation(rel):
-    nf = nf_of_word("ab", rel)
+    nf = rel.word("ab")
     assert nf_terms(nf) == {(1, 0, 1): Q, (0, 0, 0): P}
     assert nf.render() == "q*b*a + p"
 
 
 def test_reorder_ab2(rel):
-    nf = nf_of_word("abb", rel)
+    nf = rel.word("abb")
     assert nf_terms(nf) == {(2, 0, 1): Q**2, (1, 0, 0): P * (one + Q)}
     assert nf.render() == "q^2*b^2*a + (p*q + p)*b"
 
 
 def test_reorder_baba(rel):
     # hand oracle: baba = b(ab)a = q b^2a^2 + p ba
-    nf = nf_of_word("baba", rel)
+    nf = rel.word("baba")
     assert nf_terms(nf) == {(2, 0, 2): Q, (1, 0, 1): P}
 
 
 def test_word_rejects_N_without_extension(rel):
     with pytest.raises(WordError):
-        nf_of_word("aNb", rel)
+        rel.word("aNb")
 
 
 def test_word_rejects_unknown_letter(rel):
     with pytest.raises(WordError):
-        nf_of_word("axb", rel)
+        rel.word("axb")
 
 
 # --- Lemma-1 style reordering laws (symbolic p, q) --------------------------------
@@ -66,15 +61,15 @@ def test_word_rejects_unknown_letter(rel):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ab_power_law(rel, n):
-    lhs = nf_of_word("a" + "b" * n, rel) - Q**n * nf_of_word("b" * n + "a", rel)
-    rhs = (P * qnum(n)) * nf_of_word("b" * (n - 1), rel)
+    lhs = rel.word("a" + "b" * n) - Q**n * rel.word("b" * n + "a")
+    rhs = (P * qnum(n)) * rel.word("b" * (n - 1))
     assert (lhs - rhs).is_zero()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_power_b_law(rel, n):
-    lhs = nf_of_word("a" * n + "b", rel) - Q**n * nf_of_word("b" + "a" * n, rel)
-    rhs = (P * qnum(n)) * nf_of_word("a" * (n - 1), rel)
+    lhs = rel.word("a" * n + "b") - Q**n * rel.word("b" + "a" * n)
+    rhs = (P * qnum(n)) * rel.word("a" * (n - 1))
     assert (lhs - rhs).is_zero()
 
 
@@ -82,118 +77,118 @@ def test_a_power_b_law(rel, n):
 
 
 def test_mul_consistent_with_word(rel):
-    assert mul(rel.gen("a"), rel.gen("b")) == nf_of_word("ab", rel)
+    assert rel.gen("a") * rel.gen("b") == rel.word("ab")
 
 
 def test_unit_laws(rel):
-    x = nf_of_word("bbaa", rel) + 3 * rel.gen("b")
-    assert mul(x, rel.unit()) == x
-    assert mul(rel.unit(), x) == x
+    x = rel.word("bbaa") + 3 * rel.gen("b")
+    assert x * rel.unit() == x
+    assert rel.unit() * x == x
 
 
 def test_extended_ba_squared():
     # relation ab = p*ba + 1; hand expansion: baba = b(ab)a = p b^2a^2 + ba
     ext = extended()
-    x = nf_of_word("ba", ext)
-    assert nf_terms(mul(x, x)) == {(2, 0, 2): P, (1, 0, 1): one}
+    x = ext.word("ba")
+    assert nf_terms(x * x) == {(2, 0, 2): P, (1, 0, 1): one}
 
 
 def test_relation_mismatch_raises():
-    x = nf_of_word("ab", hq())
-    y = nf_of_word("ab", hq(p=1))
+    x = hq().word("ab")
+    y = hq(p=1).word("ab")
     with pytest.raises(RelationMismatchError):
-        mul(x, y)
+        x * y
     with pytest.raises(RelationMismatchError):
         x + y
 
 
 def test_equal_specs_are_compatible():
     # distinct Relation objects with equal data interoperate
-    x = nf_of_word("ab", hq())
-    y = nf_of_word("ba", hq())
-    assert not mul(x, y).is_zero()
+    x = hq().word("ab")
+    y = hq().word("ba")
+    assert not (x * y).is_zero()
 
 
 # --- power -----------------------------------------------------------------------------
 
 
 def test_power_trivial(rel):
-    x = nf_of_word("aba", rel)
-    assert power(x, 1) == x
-    assert power(x, 0) == rel.unit()
-    assert nf_terms(power(rel.gen("b"), 3)) == {(3, 0, 0): one}
+    x = rel.word("aba")
+    assert x**1 == x
+    assert x**0 == rel.unit()
+    assert nf_terms(rel.gen("b") ** 3) == {(3, 0, 0): one}
 
 
 def test_power_product_collapse(rel):
-    assert power(nf_of_word("aba", rel), 2) == nf_of_word("aabbaa", rel)
+    assert rel.word("aba") ** 2 == rel.word("aabbaa")
 
 
 # --- commutator ---------------------------------------------------------------------------
 
 
 def test_commutator_self_is_zero(rel):
-    x = nf_of_word("ab", rel) + 2 * rel.gen("b")
+    x = rel.word("ab") + 2 * rel.gen("b")
     assert commutator(x, x).is_zero()
 
 
 def test_commutator_ab_a2b2(rel):
-    assert commutator(nf_of_word("ab", rel), nf_of_word("aabb", rel)).is_zero()
+    assert commutator(rel.word("ab"), rel.word("aabb")).is_zero()
 
 
 def test_commutator_N_with_ba():
     ext = extended()
-    assert commutator(ext.gen("N"), nf_of_word("ba", ext)).is_zero()
-    assert commutator(ext.gen("N"), nf_of_word("aabb", ext)).is_zero()
+    assert commutator(ext.gen("N"), ext.word("ba")).is_zero()
+    assert commutator(ext.gen("N"), ext.word("aabb")).is_zero()
 
 
 # --- grading ---------------------------------------------------------------------------------
 
 
 def test_grading_examples(rel):
-    assert grade(nf_of_word("bba", rel) - qnum(2) * rel.gen("b")) == 1
-    assert grade(nf_of_word("ab", rel)) == 0
-    assert grade(rel.gen("a") + rel.gen("b")) is None
+    assert (rel.word("bba") - qnum(2) * rel.gen("b")).grade() == 1
+    assert rel.word("ab").grade() == 0
+    assert (rel.gen("a") + rel.gen("b")).grade() is None
 
 
 def test_grading_additive(rel):
     rng = random.Random(7)
     for _ in range(40):
-        x = nf_of_word(random_word(rng, rng.randint(1, 4)), rel)
-        y = nf_of_word(random_word(rng, rng.randint(1, 4)), rel)
-        gx, gy = grade(x), grade(y)
+        x = rel.word(random_word(rng, rng.randint(1, 4)))
+        y = rel.word(random_word(rng, rng.randint(1, 4)))
+        gx, gy = x.grade(), y.grade()
         if gx is None or gy is None:
             continue
-        assert grade(mul(x, y)) == gx + gy
+        assert (x * y).grade() == gx + gy
 
 
 def test_N_has_grade_zero():
     ext = extended()
-    assert grade(ext.gen("N")) == 0
-    assert grade(nf_of_word("bNa", ext)) == 0
+    assert ext.gen("N").grade() == 0
+    assert ext.word("bNa").grade() == 0
 
 
 # --- parameter substitution ---------------------------------------------------------------------
 
 
 def test_substitute_simple(rel):
-    nf = substitute_params(nf_of_word("ab", rel), {"p": 1})
+    nf = rel.word("ab").substitute({"p": 1})
     assert nf.render() == "q*b*a + 1"
 
 
 def test_substitute_classical(rel):
-    nf = substitute_params(nf_of_word("ab", rel), {"q": 1, "p": 1})
+    nf = rel.word("ab").substitute({"q": 1, "p": 1})
     assert nf.render() == "b*a + 1"
 
 
 def test_substitute_numeric_lemma1(rel):
     # direct recurrence oracle at q=2, p=3: a b^3 -> 8 b^3 a + 3*{3}|q=2 * b^2
-    nf = substitute_params(nf_of_word("abbb", rel), {"q": 2, "p": 3})
+    nf = rel.word("abbb").substitute({"q": 2, "p": 3})
     assert nf_terms(nf) == {(3, 0, 1): S.Scalar.of(8), (2, 0, 0): S.Scalar.of(21)}
 
 
 def test_substitute_drops_vanishing_terms(rel):
-    nf = nf_of_word("ab", rel)  # q*ba + p
-    sub = substitute_params(nf, {"p": 0})
+    nf = rel.word("ab")  # q*ba + p
+    sub = nf.substitute({"p": 0})
     assert nf_terms(sub) == {(1, 0, 1): Q}
 
 
@@ -210,7 +205,7 @@ def test_confluence_against_naive_reducer():
         left = reduce_word(word, rel, order="left")
         right = reduce_word(word, rel, order="right")
         assert left == right, (word, p, q)
-        assert nf_terms(nf_of_word(word, rel)) == left, (word, p, q)
+        assert nf_terms(rel.word(word)) == left, (word, p, q)
 
 
 def test_confluence_extended_words():
@@ -221,7 +216,7 @@ def test_confluence_extended_words():
         left = reduce_word(word, ext, order="left")
         right = reduce_word(word, ext, order="right")
         assert left == right, word
-        assert nf_terms(nf_of_word(word, ext)) == left, word
+        assert nf_terms(ext.word(word)) == left, word
 
 
 @pytest.mark.parametrize("j", range(7))
@@ -238,11 +233,11 @@ def test_associativity_random_triples():
     rel = hq()
     for _ in range(100):
         x, y, z = (
-            nf_of_word(random_word(rng, rng.randint(1, 4)), rel)
+            rel.word(random_word(rng, rng.randint(1, 4)))
             + rng.randint(-2, 2) * rel.unit()
             for _ in range(3)
         )
-        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_associativity_extended():
@@ -250,10 +245,10 @@ def test_associativity_extended():
     ext = extended()
     for _ in range(25):
         x, y, z = (
-            nf_of_word(random_word(rng, rng.randint(1, 3), letters="abN"), ext)
+            ext.word(random_word(rng, rng.randint(1, 3), letters="abN"))
             for _ in range(3)
         )
-        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 # --- PBW key range: the packed m and j fields are 20 bits wide ----------------------------------------------
@@ -290,22 +285,22 @@ def test_remainder_degree_counts_toward_key_limit():
 def test_shift_laws_symbolic():
     ext = extended()
     qn1 = Poly1([one, Q])  # qN + 1
-    assert nf_of_word("aN", ext) == ext.npoly_nf(qn1) * ext.gen("a")
-    assert nf_of_word("Nb", ext) == ext.gen("b") * ext.npoly_nf(qn1)
+    assert ext.word("aN") == ext.npoly_nf(qn1) * ext.gen("a")
+    assert ext.word("Nb") == ext.gen("b") * ext.npoly_nf(qn1)
 
 
 def test_fN_commutes_with_anbn():
     ext = extended(F=Poly1([0, 0, 1]))  # F = N^2 just to vary the remainder
     f = ext.npoly_nf(Poly1([2, 0, 3]))  # 2 + 3N^2
     for n in (1, 2, 3):
-        assert commutator(f, nf_of_word("a" * n + "b" * n, ext)).is_zero()
-        assert commutator(f, nf_of_word("b" * n + "a" * n, ext)).is_zero()
+        assert commutator(f, ext.word("a" * n + "b" * n)).is_zero()
+        assert commutator(f, ext.word("b" * n + "a" * n)).is_zero()
 
 
 def test_thm1_under_extended():
     ext = extended()
     for n in (1, 2, 3):
-        assert power(nf_of_word("aba", ext), n) == nf_of_word("a" * n + "b" * n + "a" * n, ext)
+        assert ext.word("aba") ** n == ext.word("a" * n + "b" * n + "a" * n)
 
 
 # --- memoization transparency ---------------------------------------------------------------------------------
@@ -319,23 +314,13 @@ def test_concurrent_memo_fill_is_idempotent():
     words = ["aabbab", "babaab", "abbbaa", "aaabbb"] * 8
 
     def job(word):
-        return nf_terms(nf_of_word(word, shared))
+        return nf_terms(shared.word(word))
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, words))
-    fresh = {w: nf_terms(nf_of_word(w, hq())) for w in set(words)}
+    fresh = {w: nf_terms(hq().word(w)) for w in set(words)}
     for word, got in zip(words, results):
         assert got == fresh[word]
-
-
-def test_memo_transparency():
-    word = "aabbab"
-    with_memo = nf_of_word(word, hq(memoize=True))
-    without = nf_of_word(word, hq(memoize=False))
-    assert nf_terms(with_memo) == nf_terms(without)
-    x = power(nf_of_word("bba", hq(memoize=True)) - qnum(2) * hq().gen("b"), 3)
-    y = power(nf_of_word("bba", hq(memoize=False)) - qnum(2) * hq(memoize=False).gen("b"), 3)
-    assert nf_terms(x) == nf_terms(y)
 
 
 # --- rendering -----------------------------------------------------------------------------------------------------
@@ -352,5 +337,5 @@ def test_render_negative_leading(rel):
 
 def test_render_extended():
     ext = extended()
-    assert nf_of_word("ab", ext).render() == "p*b*a + 1"
-    assert nf_of_word("aN", ext).render() == "q*N*a + a"
+    assert ext.word("ab").render() == "p*b*a + 1"
+    assert ext.word("aN").render() == "q*N*a + a"
