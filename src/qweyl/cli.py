@@ -17,9 +17,20 @@ import sys
 from . import identities as ident
 from . import parser as par
 from . import reps as rp
-from .identities import CaseResult, Report, SuiteConfig
+from .identities import Report, SuiteConfig
 from .scalar import ScalarError
 from .weyl import Relation, WordError, extended, hq
+
+
+def _size(text: str) -> int:
+    """A non-negative integer flag value; argparse turns the error into exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %d" % value)
+    return value
 
 
 def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, cases: bool) -> None:
@@ -32,7 +43,7 @@ def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, c
         p.add_argument("--params", default=None, help="comma-separated bindings, e.g. p=1,q=2/3")
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     if cases:
-        p.add_argument("--max-n", type=int, default=4, dest="max_n")
+        p.add_argument("--max-n", type=_size, default=4, dest="max_n")
         p.add_argument("--seed", type=int, default=0)
 
 
@@ -57,8 +68,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep-check", help="verify identities inside concrete representations")
     p.add_argument("--rep", choices=("diff", "diff_ab", "diff_ba", "jackson", "delta", "fock"), default=None)
     p.add_argument("--eq", choices=("1a", "1b", "2a", "2b", "3", "4", "20", "22"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--n", type=_size, default=None)
+    p.add_argument("--degree", type=_size, default=None)
     _common_flags(p, relation=False, params=False, cases=True)
 
     p = sub.add_parser("expand", help="expand a grade-0 expression in powers of (a*b)")
@@ -153,23 +164,13 @@ def _cmd_rep_check(args) -> int:
         degree=args.degree,
         seed=args.seed,
     )
-    results = []
-    for cid, rep_name, case_args, variant, expected, runner in cases:
-        verdict = runner()
-        results.append(
-            CaseResult(
-                id=cid,
-                args=dict(case_args, rep=rep_name),
-                variant=variant,
-                params={},
-                status=verdict.status,
-                expected=expected,
-                residual=verdict.residual_text() if verdict.status == "fail" else "",
-                millis=int(verdict.elapsed * 1000),
-                detail=verdict.detail,
-            )
-        )
-    report = Report(cases=results, notes=[rp.JACKSON_NOTE])
+    report = ident.run_cases(
+        (
+            (cid, dict(case_args, rep=rep), variant, {}, expected, runner)
+            for cid, rep, case_args, variant, expected, runner in cases
+        ),
+        notes=[rp.JACKSON_NOTE],
+    )
     _print_report(args, report)
     return 0 if report.ok() else 1
 
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
         if args.command == "expand":
             return _cmd_expand(args)
         return 2
-    except (par.ParseError, par.EvalError, WordError, ScalarError, ValueError) as exc:
+    except (par.ParseError, par.EvalError, WordError, ScalarError, ident.UnsupportedCaseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

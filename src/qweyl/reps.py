@@ -20,12 +20,14 @@ diff-style swaps explicitly.
 
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 
 from .scalar import D as _D
 from .scalar import Poly1, Q as _Q, Scalar, one, qnum, zero
-from .verdict import Stopwatch, Verdict
-from .weyl import NormalForm, Relation, heisenberg
+from .verdict import Verdict
+from .weyl import NormalForm, Relation, heisenberg, hq
 
 __all__ = [
     "ParameterMismatchError",
@@ -166,17 +168,9 @@ def ALL_POLY_REPS() -> dict[str, PolyRep]:
 
 def rep_relation_check(rep: PolyRep, K: int) -> Verdict:
     """(a b - sigma b a - rho) x^k = 0 for 0 <= k <= K."""
-    with Stopwatch() as sw:
-        bad = []
-        for k in range(K + 1):
-            f = xpow(k)
-            lhs = rep.apply("a", rep.apply("b", f))
-            mid = rep.apply("b", rep.apply("a", f)) * rep.sigma
-            diff = lhs - mid - f * rep.rho
-            if not diff.is_zero():
-                bad.append((k, diff))
-    status = "pass" if not bad else "fail"
-    return Verdict(status, bad or None, sw.seconds)
+    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    rhs = op_add(op_scale(rep.sigma, op_compose(b, a)), op_scale(rep.rho, _op_id))
+    return check_identity_on_basis(op_compose(a, b), rhs, K)
 
 
 def realize(x: NormalForm, rep: PolyRep):
@@ -206,19 +200,8 @@ def realize(x: NormalForm, rep: PolyRep):
 
 def morphism_check(word: str, rep: PolyRep, K: int) -> Verdict:
     """realize(nf(word)) vs direct letter-by-letter application on x^0..x^K."""
-    with Stopwatch() as sw:
-        rel = rep.relation()
-        via_nf = realize(rel.word(word), rep)
-        bad = []
-        for k in range(K + 1):
-            f = xpow(k)
-            g = f
-            for ch in reversed(word):
-                g = rep.apply(ch, g)
-            diff = via_nf(f) - g
-            if not diff.is_zero():
-                bad.append((k, diff))
-    return Verdict("pass" if not bad else "fail", bad or None, sw.seconds)
+    via_nf = realize(rep.relation().word(word), rep)
+    return check_identity_on_basis(via_nf, op_compose(*(op_gen(rep, ch) for ch in word)), K)
 
 
 # --- operator combinators (direct application, independent of the engine) ------
@@ -273,13 +256,12 @@ def falling_factorial(n: int, step: Scalar) -> Poly1:
 
 def check_identity_on_basis(lhs_op, rhs_op, K: int) -> Verdict:
     """Compare two concrete operators on the monomials x^0..x^K."""
-    with Stopwatch() as sw:
-        bad = []
-        for k in range(K + 1):
-            diff = lhs_op(xpow(k)) - rhs_op(xpow(k))
-            if not diff.is_zero():
-                bad.append((k, diff))
-    return Verdict("pass" if not bad else "fail", bad or None, sw.seconds)
+    bad = []
+    for k in range(K + 1):
+        diff = lhs_op(xpow(k)) - rhs_op(xpow(k))
+        if not diff.is_zero():
+            bad.append((k, diff))
+    return Verdict("pass" if not bad else "fail", bad or None)
 
 
 def solve_basis_factor(lhs_op, rhs_op, K: int):
@@ -537,6 +519,11 @@ def _op_id(f):
     return f
 
 
+def _ladder(T, constants):
+    """The operator T (T - c_1) ... (T - c_n) for constants c_1..c_n."""
+    return op_compose(T, *(op_sub(T, op_scale(c, _op_id)) for c in constants))
+
+
 def _windowed_zero(mat: FockMatrix) -> bool:
     return all(not mat.column(c) for c in range(mat.window + 1))
 
@@ -547,7 +534,7 @@ def eq1_first_check(n: int, K: int | None = None) -> Verdict:
     a, b = op_gen(rep, "a"), op_gen(rep, "b")
     lhs = op_pow(op_sub(op_compose(b, b, a), op_scale(n, b)), n + 1)
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
-    return check_identity_on_basis(lhs, rhs, K or 3 * (n + 1) + 2)
+    return check_identity_on_basis(lhs, rhs, 3 * (n + 1) + 2 if K is None else K)
 
 
 def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
@@ -561,7 +548,8 @@ def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
     combine = op_add if corrected else op_sub
     lhs = op_pow(combine(op_compose(b, b, a), op_scale(n, b)), n + 1)
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
-    K = K or 3 * (n + 1) + 2
+    if K is None:
+        K = 3 * (n + 1) + 2
     verdict = check_identity_on_basis(lhs, rhs, K)
     if not corrected and n == 1:
         alt = op_compose(b, b, a, a, b, b)  # d^2 x^2 d^2
@@ -594,11 +582,9 @@ def eq3_check(n: int, K: int | None = None) -> Verdict:
     """x d (x d - 1) ... (x d - n) = x^(n+1) d^(n+1)."""
     rep = diff_ab()
     a, b = op_gen(rep, "a"), op_gen(rep, "b")
-    T = op_compose(b, a)
-    ops = [op_sub(T, op_scale(k, _op_id)) if k else T for k in range(n + 1)]
-    lhs = op_compose(*ops)
+    lhs = _ladder(op_compose(b, a), range(1, n + 1))
     rhs = op_compose(op_pow(b, n + 1), op_pow(a, n + 1))
-    return check_identity_on_basis(lhs, rhs, K or 2 * (n + 1) + 2)
+    return check_identity_on_basis(lhs, rhs, 2 * (n + 1) + 2 if K is None else K)
 
 
 def _u_backward(f: Poly1) -> Poly1:
@@ -617,20 +603,16 @@ def _engine_cross_check(verdict: Verdict, cid: str, sigma, rho, n: int) -> Verdi
 
     engine = verify(IdentityCase(cid, heisenberg(sigma, rho), n=n))
     if engine.passed != verdict.passed:
-        return Verdict("fail", verdict.residual, verdict.elapsed, detail="basis check disagrees with the engine verdict")
+        return Verdict("fail", verdict.residual, detail="basis check disagrees with the engine verdict")
     verdict.detail = (verdict.detail + "; engine cross-check agrees").strip("; ")
     return verdict
 
 
 def eq4_check(n: int, K: int | None = None) -> Verdict:
     """prod_k [x(1 - shift(-d)) - k d] = x^((n+1)) (1 - shift(-d))^(n+1)."""
-    xu = lambda f: _mulx(_u_backward(f))
-    ops = []
-    for k in range(n + 1):
-        ops.append(op_sub(xu, op_scale(_D * k, _op_id)) if k else xu)
-    lhs = op_compose(*ops)
+    lhs = _ladder(lambda f: _mulx(_u_backward(f)), (_D * k for k in range(1, n + 1)))
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_u_backward, n + 1))
-    verdict = check_identity_on_basis(lhs, rhs, K or 4 * (n + 1) + 4)
+    verdict = check_identity_on_basis(lhs, rhs, 4 * (n + 1) + 4 if K is None else K)
     return _engine_cross_check(verdict, "THM5", one, one, n)
 
 
@@ -638,11 +620,9 @@ def eq20_check(n: int, K: int | None = None) -> Verdict:
     """x D (x D - {1}) ... (x D - {n}) = q^(n(n+1)/2) x^(n+1) D^(n+1)."""
     rep = jackson()
     a, b = op_gen(rep, "a"), op_gen(rep, "b")
-    T = op_compose(b, a)
-    ops = [op_sub(T, op_scale(qnum(k), _op_id)) if k else T for k in range(n + 1)]
-    lhs = op_compose(*ops)
+    lhs = _ladder(op_compose(b, a), (qnum(k) for k in range(1, n + 1)))
     rhs = op_scale(_Q ** (n * (n + 1) // 2), op_compose(op_pow(b, n + 1), op_pow(a, n + 1)))
-    verdict = check_identity_on_basis(lhs, rhs, K or 4 * (n + 1) + 4)
+    verdict = check_identity_on_basis(lhs, rhs, 4 * (n + 1) + 4 if K is None else K)
     return _engine_cross_check(verdict, "THM5", _Q, one, n)
 
 
@@ -652,15 +632,13 @@ def eq22_constant(n: int, K: int | None = None):
     lhs = xD-(xD- - 1)...(xD- - n) against the bare x^((n+1)) D-^(n+1); the
     discovered constant is compared with the printed d^(n+1).
     """
-    K = K or 4 * (n + 1) + 4
-    dminus = _dminus
-    T = lambda f: _mulx(_dminus(f))
-    ops = [op_sub(T, op_scale(k, _op_id)) if k else T for k in range(n + 1)]
-    lhs = op_compose(*ops)
-    rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(dminus, n + 1))
+    if K is None:
+        K = 4 * (n + 1) + 4
+    lhs = _ladder(lambda f: _mulx(_dminus(f)), range(1, n + 1))
+    rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_dminus, n + 1))
     c = solve_basis_factor(lhs, rhs, K)
     if c is None:
-        return Verdict("fail", "no basis-independent constant", 0.0), None, False
+        return Verdict("fail", "no basis-independent constant"), None, False
     verdict = check_identity_on_basis(lhs, op_compose(op_scale(c, _op_id), rhs), K)
     matches_printed = c == _D ** (n + 1)
     verdict.detail = "constant %s; printed d^%d %s" % (
@@ -678,144 +656,123 @@ def fock_theorem3_spotcheck(seed: int = 0, L: int = 14, trials: int = 5) -> Verd
     collapse for n, k <= 2, and [b^n a^n, b^m a^m] = 0 for n, m <= 3, all on
     the safe window.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
-    with Stopwatch() as sw:
-        bad = []
-        for trial in range(trials):
-            seq = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(L)]
-            rep = FockRep(seq, L)
-            aba = fock_word_matrix("aba", rep)
-            if not (aba @ aba).windowed_equal(fock_word_matrix("aabbaa", rep)):
-                bad.append((trial, "aba^2"))
-            for n in (1, 2):
-                for k in (1, 2):
-                    block = fock_word_matrix("ab" * k + "a", rep)
-                    full = fock_word_matrix("a" * n + ("b" * n + "a" * n) * k, rep)
-                    got = block
-                    for _ in range(n - 1):
-                        got = got @ block
-                    if not got.windowed_equal(full):
-                        bad.append((trial, "blocks n=%d k=%d" % (n, k)))
-            for n in (1, 2, 3):
-                for m in (n, 2, 3):
-                    x = fock_word_matrix("b" * n + "a" * n, rep)
-                    y = fock_word_matrix("b" * m + "a" * m, rep)
-                    if not _windowed_zero(x @ y - y @ x):
-                        bad.append((trial, "commute n=%d m=%d" % (n, m)))
-    return Verdict("pass" if not bad else "fail", bad or None, sw.seconds)
+    rng = random.Random(seed)
+    bad = []
+    for trial in range(trials):
+        seq = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(L)]
+        rep = FockRep(seq, L)
+        aba = fock_word_matrix("aba", rep)
+        if not (aba @ aba).windowed_equal(fock_word_matrix("aabbaa", rep)):
+            bad.append((trial, "aba^2"))
+        for n in (1, 2):
+            for k in (1, 2):
+                block = fock_word_matrix("ab" * k + "a", rep)
+                full = fock_word_matrix("a" * n + ("b" * n + "a" * n) * k, rep)
+                got = block
+                for _ in range(n - 1):
+                    got = got @ block
+                if not got.windowed_equal(full):
+                    bad.append((trial, "blocks n=%d k=%d" % (n, k)))
+        for n in (1, 2, 3):
+            for m in (n, 2, 3):
+                x = fock_word_matrix("b" * n + "a" * n, rep)
+                y = fock_word_matrix("b" * m + "a" * m, rep)
+                if not _windowed_zero(x @ y - y @ x):
+                    bad.append((trial, "commute n=%d m=%d" % (n, m)))
+    return Verdict("pass" if not bad else "fail", bad or None)
 
 
 def fock_affine_spotcheck(seed: int = 0, L: int = 14) -> Verdict:
     """For a sequence certified against an affine map, the mixed commutator
     [a^n b^n, b^m a^m] also vanishes on the window."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    with Stopwatch() as sw:
-        bad = []
-        for _ in range(3):
-            alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            beta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            rep = affine_fock(alpha, beta, L)
-            f = Poly1([beta, alpha], "t")
-            if any(sequence_residual(f, rep)):
-                bad.append("residuals nonzero")
-                continue
-            for n in (1, 2):
-                for m in (1, 2, 3):
-                    x = fock_word_matrix("a" * n + "b" * n, rep)
-                    y = fock_word_matrix("b" * m + "a" * m, rep)
-                    if not _windowed_zero(x @ y - y @ x):
-                        bad.append("mixed n=%d m=%d" % (n, m))
-    return Verdict("pass" if not bad else "fail", bad or None, sw.seconds)
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(3):
+        alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        beta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rep = affine_fock(alpha, beta, L)
+        f = Poly1([beta, alpha], "t")
+        if any(sequence_residual(f, rep)):
+            bad.append("residuals nonzero")
+            continue
+        for n in (1, 2):
+            for m in (1, 2, 3):
+                x = fock_word_matrix("a" * n + "b" * n, rep)
+                y = fock_word_matrix("b" * m + "a" * m, rep)
+                if not _windowed_zero(x @ y - y @ x):
+                    bad.append("mixed n=%d m=%d" % (n, m))
+    return Verdict("pass" if not bad else "fail", bad or None)
 
 
 def fock_vs_abstract_spotcheck(seed: int = 0, L: int = 12, words: int = 50) -> Verdict:
     """Normal-form matrices match direct word application at random rational p, q."""
-    import random as _random
-
-    from .weyl import hq as _hq
-
-    rng = _random.Random(seed)
-    with Stopwatch() as sw:
-        bad = []
-        for _ in range(words):
-            p = Fraction(rng.randint(1, 7), rng.randint(1, 4))
-            q = Fraction(rng.randint(1, 7), rng.randint(1, 4))
-            rel = _hq(p=p, q=q)
-            rep = hq_fock(p=p, q=q, L=L)
-            word = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
-            via_nf = fock_matrix(rel.word(word), rep)
-            direct = fock_word_matrix(word, rep)
-            if not via_nf.windowed_equal(direct):
-                bad.append(word)
-    return Verdict("pass" if not bad else "fail", bad or None, sw.seconds)
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(words):
+        p = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        q = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        rel = hq(p=p, q=q)
+        rep = hq_fock(p=p, q=q, L=L)
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        via_nf = fock_matrix(rel.word(word), rep)
+        direct = fock_word_matrix(word, rep)
+        if not via_nf.windowed_equal(direct):
+            bad.append(word)
+    return Verdict("pass" if not bad else "fail", bad or None)
 
 
 def standard_rep_cases(rep_filter: str | None = None, eq_filter: str | None = None, max_n: int = 3, degree: int | None = None, seed: int = 0):
-    """The rep-check case list: (id, rep, args, variant, expected, runner)."""
-    reps_by_name = ALL_POLY_REPS()
-    cases = []
+    """The rep-check case list: (id, rep, args, variant, expected, runner).
 
-    def want_rep(name):
-        if rep_filter is None:
-            return True
-        if rep_filter == "diff":
-            return name in ("diff_ab", "diff_ba")
-        return rep_filter == name
+    ``rep_filter`` "diff" keeps both differential assignments; cases without
+    an equation tag (the relation table, the Fock spot checks) run only when
+    no ``eq_filter`` is given.
+    """
+    reps = ALL_POLY_REPS()
+    K = 12 if degree is None else degree
+    ns = [{"n": n} for n in range(1, max_n + 1)]
 
-    def want_eq(tag):
-        return eq_filter is None or eq_filter == tag
+    def holds(check):
+        return (("", "pass", check),)
 
-    if eq_filter is None:
-        for name, rep in reps_by_name.items():
-            if want_rep(name):
-                cases.append(
-                    ("RELTAB", name, {"K": degree or 12}, "", "pass", lambda rep=rep: rep_relation_check(rep, degree or 12))
-                )
-    if want_eq("1a") and want_rep("diff_ab"):
-        for n in range(1, max_n + 1):
-            cases.append(("EQ1a", "diff_ab", {"n": n}, "", "pass", lambda n=n: eq1_first_check(n, degree)))
-    if want_eq("1b") and want_rep("diff_ba"):
-        for n in range(1, max_n + 1):
-            cases.append(
-                ("EQ1b", "diff_ba", {"n": n}, "as_printed", "fail", lambda n=n: eq1_second_check(n, False, degree))
-            )
-            cases.append(
-                ("EQ1b", "diff_ba", {"n": n}, "corrected", "pass", lambda n=n: eq1_second_check(n, True, degree))
-            )
-    for tag, form in (("2a", "a"), ("2b", "b")):
-        if want_eq(tag):
-            for name in ("diff_ab", "jackson"):
-                if want_rep(name):
-                    rep = reps_by_name[name]
-                    for n in range(1, max_n + 1):
-                        cases.append(
-                            (
-                                "EQ" + tag,
-                                name,
-                                {"n": n},
-                                "",
-                                "pass",
-                                lambda rep=rep, n=n, form=form: eq2_check(rep, n, form, degree),
-                            )
-                        )
-    if want_eq("3") and want_rep("diff_ab"):
-        for n in range(1, max_n + 1):
-            cases.append(("EQ3", "diff_ab", {"n": n}, "", "pass", lambda n=n: eq3_check(n, degree)))
-    if want_eq("4") and want_rep("delta"):
-        for n in range(1, max_n + 1):
-            cases.append(("EQ4", "delta", {"n": n}, "", "pass", lambda n=n: eq4_check(n, degree)))
-    if want_eq("20") and want_rep("jackson"):
-        for n in range(1, max_n + 1):
-            cases.append(("EQ20", "jackson", {"n": n}, "", "pass", lambda n=n: eq20_check(n, degree)))
-    if want_eq("22") and want_rep("delta"):
-        for n in range(1, max_n + 1):
-            cases.append(("EQ22", "delta", {"n": n}, "", "pass", lambda n=n: eq22_constant(n, degree)[0]))
-    if (rep_filter in (None, "fock")) and eq_filter is None:
-        cases.append(("FOCK_T3", "fock", {"L": 14, "trials": 5}, "", "pass", lambda: fock_theorem3_spotcheck(seed)))
-        cases.append(("FOCK_AFFINE", "fock", {"L": 14}, "", "pass", lambda: fock_affine_spotcheck(seed)))
-        cases.append(("FOCK_HQ", "fock", {"L": 12, "words": 50}, "", "pass", lambda: fock_vs_abstract_spotcheck(seed)))
-    return cases
+    # (id, equation tag, rep, the args of each case, (variant, expected, check(args)) per args)
+    rows = [
+        ("RELTAB", None, name, [{"K": K}], holds(lambda a, rep=rep: rep_relation_check(rep, **a)))
+        for name, rep in reps.items()
+    ]
+    rows += [
+        ("EQ1a", "1a", "diff_ab", ns, holds(lambda a: eq1_first_check(a["n"], degree))),
+        (
+            "EQ1b",
+            "1b",
+            "diff_ba",
+            ns,
+            (
+                ("as_printed", "fail", lambda a: eq1_second_check(a["n"], False, degree)),
+                ("corrected", "pass", lambda a: eq1_second_check(a["n"], True, degree)),
+            ),
+        ),
+    ]
+    rows += [
+        ("EQ" + tag, tag, name, ns, holds(lambda a, rep=reps[name], form=form: eq2_check(rep, a["n"], form, degree)))
+        for tag, form in (("2a", "a"), ("2b", "b"))
+        for name in ("diff_ab", "jackson")
+    ]
+    rows += [
+        ("EQ3", "3", "diff_ab", ns, holds(lambda a: eq3_check(a["n"], degree))),
+        ("EQ4", "4", "delta", ns, holds(lambda a: eq4_check(a["n"], degree))),
+        ("EQ20", "20", "jackson", ns, holds(lambda a: eq20_check(a["n"], degree))),
+        ("EQ22", "22", "delta", ns, holds(lambda a: eq22_constant(a["n"], degree)[0])),
+        ("FOCK_T3", None, "fock", [{"L": 14, "trials": 5}], holds(lambda a: fock_theorem3_spotcheck(seed, **a))),
+        ("FOCK_AFFINE", None, "fock", [{"L": 14}], holds(lambda a: fock_affine_spotcheck(seed, **a))),
+        ("FOCK_HQ", None, "fock", [{"L": 12, "words": 50}], holds(lambda a: fock_vs_abstract_spotcheck(seed, **a))),
+    ]
+    wanted_reps = ("diff_ab", "diff_ba") if rep_filter == "diff" else (rep_filter,)
+    return [
+        (cid, name, dict(args), variant, expected, functools.partial(check, args))
+        for cid, tag, name, arg_list, variants in rows
+        if eq_filter is None or tag == eq_filter
+        if rep_filter is None or name in wanted_reps
+        for args in arg_list
+        for variant, expected, check in variants
+    ]

@@ -16,8 +16,8 @@ fixed graded-lex term order is +1.  Scalar equality is structural equality
 of the two term maps, so equal values always compare equal.
 
 Polynomials are dicts from a packed exponent key to an ``int`` or
-``fractions.Fraction``; the dict arithmetic lives in the kernel backend
-(compiled when available, pure Python otherwise).
+``fractions.Fraction``; the dict arithmetic lives in the plain-Python
+kernels of ``qweyl._kernels``.
 """
 
 from __future__ import annotations

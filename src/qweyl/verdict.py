@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 
@@ -18,7 +17,6 @@ class Verdict:
 
     status: str
     residual: object = None
-    elapsed: float = 0.0
     detail: str = ""
 
     @property
@@ -32,14 +30,3 @@ class Verdict:
             return self.residual.render()
         return str(self.residual)
 
-
-class Stopwatch:
-    """Tiny context manager feeding Verdict.elapsed."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False

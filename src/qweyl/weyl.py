@@ -17,8 +17,9 @@ Reordering a^j b^i is driven by the recurrence
 
 (with F replaced by the central rho in the N-free case), memoized per
 relation because identity checks reuse the same (j, i) pairs thousands of
-times.  The memo table is an idempotent function table: concurrent fills
-compute identical values, so normal forms are safe to share across workers.
+times.  The memo tables fill on first use and grow until
+``Relation.clear_caches``; a relation's defining data never change, so an
+entry never goes stale.
 """
 
 from __future__ import annotations

@@ -63,6 +63,8 @@ def test_build_rejects_mismatched_relation():
         build(IdentityCase("THM5", W.extended(), n=1))
     with pytest.raises(UnsupportedCaseError):
         build(IdentityCase("THM1b", W.hq(q=0), n=2))
+    with pytest.raises(UnsupportedCaseError):  # LEM3 is solved for factors by verify
+        build(IdentityCase("LEM3", W.hq(), n=-1))
 
 
 # --- the always-true families ---------------------------------------------------------
@@ -417,10 +419,5 @@ def test_suite_id_and_variant_filters():
     assert report.cases and all(c.variant == "p_scaled" for c in report.cases)
     with pytest.raises(UnsupportedCaseError):
         suite(SuiteConfig(catalog="errata", ids=("NOPE",)))
-
-
-def test_suite_max_k():
-    narrow = suite(SuiteConfig(catalog="core", max_n=2, max_k=1))
-    wide = suite(SuiteConfig(catalog="core", max_n=2, max_k=2))
-    assert len(narrow.cases) < len(wide.cases)
-    assert narrow.ok() and wide.ok()
+    with pytest.raises(UnsupportedCaseError):
+        suite(SuiteConfig(catalog="errata", variants=("nope",)))

@@ -361,12 +361,37 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
         ("normalize", "a*b", "--params", "p=1/0"),
         ("suite", "--catalog", "none", "--params", "p=1/0"),
         ("normalize", "a*b", "--params", "p=--2"),
+        # unknown suite filters are input errors of the same kind (were exit 3, and exit 0 with no cases)
+        ("suite", "--catalog", "core", "--ids", "BOGUS"),
+        ("suite", "--catalog", "errata", "--variants", "bogus"),
     ],
 )
 def test_cli_bad_bindings_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # an empty basis made the known-false as-printed EQ1b read as pass
+        ("rep-check", "--eq", "1b", "--n", "1", "--degree", "-1"),
+        ("rep-check", "--n", "-1"),
+        ("suite", "--max-n", "-1"),
+    ],
+)
+def test_cli_negative_sizes_exit_2(capsys, args):
+    rc, out, err = cli_main(capsys, *args)
+    assert rc == 2
+    assert "must be a non-negative integer" in err and not out
+
+
+def test_cli_rep_check_degree_zero_is_zero(capsys):
+    rc, out, _err = cli_main(capsys, "rep-check", "--rep", "diff_ab", "--degree", "0", "--format", "json")
+    assert rc == 0
+    reltab = [c for c in json.loads(out)["cases"] if c["id"] == "RELTAB"]
+    assert [c["args"] for c in reltab] == [{"K": 0, "rep": "diff_ab"}]
 
 
 def test_cli_deep_nesting_exit_2(capsys):
