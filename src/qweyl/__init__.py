@@ -73,7 +73,6 @@ from .scalar import (
     P,
     Poly1,
     Q,
-    RatFun1,
     Scalar,
     ScalarDivisionError,
     ScalarError,
@@ -108,7 +107,6 @@ __all__ = [
     "ScalarDivisionError",
     "SubstitutionError",
     "Poly1",
-    "RatFun1",
     "symbol",
     "zero",
     "one",

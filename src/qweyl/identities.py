@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Poly1, RatFun1, Scalar, one, zero
+from .scalar import Poly1, Scalar, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, commutator, extended, hq
 
@@ -327,7 +327,7 @@ class AbPowerExpansion:
     """Coefficients c_0..c_d with x = sum c_k (ab)^k.
 
     For the central-remainder relation the c_k are Scalars; for the extended
-    relation they are rational functions in N over the Scalar field.
+    relation they are polynomials in N (Poly1), multiplying from the left.
     """
 
     coeffs: list
@@ -336,50 +336,15 @@ class AbPowerExpansion:
     def __len__(self):
         return len(self.coeffs)
 
-    def scalar_coeffs(self) -> list[Scalar]:
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, RatFun1):
-                if c.num.degree() > 0 or c.den.degree() > 0:
-                    raise NotExpressibleError("coefficient involves N")
-                out.append((c.num[0] if c.num.coeffs else zero) / c.den[0])
-            else:
-                out.append(c)
-        return out
-
     def reconstruct(self) -> NormalForm:
-        """Sum c_k (ab)^k for Scalar coefficients."""
+        """Sum c_k (ab)^k, each coefficient multiplying from the left."""
         rel = self.relation
         ab = rel.word("ab")
         out = rel.scalar_nf(0)
-        for k, c in enumerate(self.scalar_coeffs()):
-            out = out + c * ab**k
-        return out
-
-    def reconstruction_residual(self, x: NormalForm) -> NormalForm:
-        """Exact residual after clearing the N denominators.
-
-        Returns den(N)*x - sum (den*c_k)(N) (ab)^k, which is zero iff the
-        expansion reconstructs x.
-        """
-        rel = self.relation
-        if not rel.has_N:
-            return self.reconstruct() - x
-        den = Poly1([1], "N")
-        for c in self.coeffs:
-            if isinstance(c, RatFun1):
-                den = den * c.den
-        ab = rel.word("ab")
-        total = rel.scalar_nf(0)
         for k, c in enumerate(self.coeffs):
-            c = RatFun1.of(c, "N")
-            cleared = c * RatFun1(den)
-            if cleared.den.degree() != 0:
-                raise NotExpressibleError("denominator failed to clear")
-            lead = cleared.den[0]
-            poly = cleared.num * (one / lead)
-            total = total + rel.npoly_nf(poly) * ab**k
-        return rel.npoly_nf(den) * x - total
+            lifted = rel.npoly_nf(c) if isinstance(c, Poly1) else rel.scalar_nf(c)
+            out = out + lifted * ab**k
+        return out
 
 
 def _bands(x: NormalForm) -> dict[int, Poly1]:
@@ -395,7 +360,10 @@ def expand_in_ab_powers(x: NormalForm) -> AbPowerExpansion:
 
     Coefficients multiply from the left; for the extended relation crossing
     b^t composes them with the affine N-shift, which the solver applies
-    band by band.
+    band by band.  The pivot of (ab)^k at b^k a^k is the constant
+    sigma^(k(k+1)/2), so each step divides by a Scalar and the coefficients
+    stay polynomials in N; a pivot band that is not constant leaves a
+    nonzero band behind and is reported as not expressible.
     """
     rel = x.rel
     if x.grade() not in (0, None) or (x.grade() is None and not x.is_zero()):
@@ -406,33 +374,29 @@ def expand_in_ab_powers(x: NormalForm) -> AbPowerExpansion:
     for _ in range(d):
         powers.append(powers[-1] * ab)
     basis_bands = [_bands(p) for p in powers]
-    remainder: dict[int, RatFun1] = {
-        t: RatFun1(b) for t, b in _bands(x).items()
-    }
-    coeffs: list = [RatFun1(Poly1([], "N"))] * (d + 1)
+    remainder = _bands(x)
+    coeffs = [Poly1([], "N")] * (d + 1)
     for k in range(d, -1, -1):
         r_k = remainder.get(k)
         top = basis_bands[k].get(k)
         if r_k is None or r_k.is_zero():
             continue
-        if top is None or top.is_zero():
+        if top is None or top[0].is_zero():
             raise NotExpressibleError("pivot band of (ab)^%d vanishes" % k)
-        c_k = r_k / RatFun1(top)
+        c_k = r_k * (one / top[0])
         if rel.has_N and k:
             # the solve above found c_k(tau^k N + {k}); undo the crossing shift
             tinv = rel.tau**-k
-            c_k = c_k.shift_compose(tinv, -(rel.tau_number(k) * tinv))
+            c_k = c_k.compose_affine(tinv, -(rel.tau_number(k) * tinv))
         coeffs[k] = c_k
         for t, band in basis_bands[k].items():
-            shifted = c_k.shift_compose(rel.tau**t, rel.tau_number(t)) if rel.has_N else c_k
-            cur = remainder.get(t, RatFun1(Poly1([], "N")))
-            remainder[t] = cur - shifted * RatFun1(band)
+            shifted = c_k.compose_affine(rel.tau**t, rel.tau_number(t)) if rel.has_N else c_k
+            remainder[t] = remainder.get(t, Poly1([], "N")) - shifted * band
     leftover = {t: r for t, r in remainder.items() if not r.is_zero()}
     if leftover:
         raise NotExpressibleError("nonzero residual after elimination: bands %s" % sorted(leftover))
     if not rel.has_N:
-        exp = AbPowerExpansion(coeffs, rel)
-        return AbPowerExpansion(exp.scalar_coeffs(), rel)
+        return AbPowerExpansion([c[0] for c in coeffs], rel)
     return AbPowerExpansion(coeffs, rel)
 
 
@@ -652,7 +616,8 @@ class Report:
     notes: list = field(default_factory=list)
 
     def ok(self) -> bool:
-        return all(c.status == "pass" for c in self.cases if c.expected == "pass")
+        """True when no case differs from its expected status."""
+        return not self.surprises()
 
     def surprises(self) -> list:
         return [c for c in self.cases if c.status != c.expected]

@@ -10,7 +10,7 @@ MODULES = ("qweyl", "qweyl.scalar", "qweyl.weyl", "qweyl.identities", "qweyl.rep
 REMOVED = {
     "qweyl.weyl": ("nf_of_word", "mul", "power", "grade", "substitute_params", "render"),
     "qweyl.reps": ("apply", "delta_rep_finite_difference"),
-    "qweyl.scalar": ("scalar_arith",),
+    "qweyl.scalar": ("scalar_arith", "RatFun1"),
 }
 
 

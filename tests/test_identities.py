@@ -257,14 +257,31 @@ def test_lemma4_expansions():
             x = sl2.word(w)
             e = expand_in_ab_powers(x)
             assert len(e.coeffs) <= n + 1
-            assert e.reconstruction_residual(x).is_zero()
+            assert e.reconstruct() == x
 
 
 def test_lemma4_generic_extended():
     ext = W.extended(F=Poly1([0, 1], "N"))  # sigma = p, tau = q, F = N
     for n in (1, 2, 3):
         x = ext.word("a" * n + "b" * n)
-        assert expand_in_ab_powers(x).reconstruction_residual(x).is_zero()
+        assert expand_in_ab_powers(x).reconstruct() == x
+    # the pivot of (ab)^k is the constant sigma^(k(k+1)/2), so every
+    # coefficient is a polynomial in N, never a rational function
+    rng = random.Random(5)
+    relations = (
+        W.extended(),
+        ext,
+        W.extended(sigma=1, F=Poly1([0, 2], "N"), tau=1),
+        W.extended(sigma=P * Q, F=Poly1([P, 0, 1], "N")),
+    )
+    for rel in relations:
+        for length in (2, 4, 6, 6):
+            letters = ["a", "b"] * (length // 2)
+            rng.shuffle(letters)
+            x = rel.word("".join(letters))
+            e = expand_in_ab_powers(x)
+            assert all(isinstance(c, Poly1) for c in e.coeffs)
+            assert e.reconstruct() == x, "".join(letters)
 
 
 # --- scalar factor solving ------------------------------------------------------------------------

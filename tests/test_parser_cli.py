@@ -406,12 +406,23 @@ def test_cli_deep_nesting_exit_2(capsys):
         ("verify", "a^1048576 == N", "--relation", "extended"),  # read as pass before the key check
         ("normalize", "a^1048576*b"),
         ("normalize", "a^2000000"),
+        # the coefficients' packed keys are bounded the same way
+        ("verify", "q^600000*a == p*q^-448576*a"),  # q carried into p and read as pass
+        ("normalize", "q^524287*q"),
     ],
 )
 def test_cli_pbw_exponent_overflow_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert "exponent limit" in err and not out
+
+
+def test_cli_unexpected_pass_exit_1(capsys):
+    # a degree-1 basis cannot separate the known-false as-printed EQ1b, so it passes
+    rc, out, _err = cli_main(capsys, "rep-check", "--eq", "1b", "--n", "1", "--degree", "1")
+    assert rc == 1
+    assert "UNEXPECTED (wanted fail)" in out
+    assert "1 unexpected, suite FAIL" in out
 
 
 def test_cli_internal_error_exit_3(capsys, monkeypatch):
