@@ -28,6 +28,17 @@ both variants are first-class and the suite records which passes where.
 Failure verdicts carry the exact residual normal form, and when every
 residual coefficient is divisible by (rho - 1) the report highlights that
 common factor (found by an exact division probe, not by factorization).
+
+THM1a/b, COR1, COR2a/b, THM2a/b/c and COR3 are word identities w1 == w2 (a
+commutator [U, V] == 0 reads U V == V U); ``word_pair`` gives the two words
+from the catalog entry.  ``verify`` first asks ``reps.fock_words_equal``,
+which decides them in the faithful Fock representation under a central
+relation with rho != 0, equal letter counts and sigma either a non-constant
+single term or a rational constant with [1]_sigma .. [#a]_sigma nonzero.  A
+word identity it finds equal passes without normal ordering; one it finds
+unequal or does not decide (extended relation, rho = 0, multi-term sigma,
+sigma = -1) is normal-ordered by the engine, so every failure still carries
+the engine's exact residual.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .reps import FockRep, fock_matrix, fock_words_equal
 from .scalar import Poly1, Scalar, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, commutator, extended, hq
@@ -50,6 +62,7 @@ __all__ = [
     "IdentityCase",
     "CATALOG_IDS",
     "build",
+    "word_pair",
     "verify",
     "solve_scalar_factor",
     "expand_in_ab_powers",
@@ -146,16 +159,38 @@ def _need_invertible(sigma: Scalar) -> None:
 
 
 def _commuting(words):
-    """Builder for [product of left words, product of right words] == 0.
+    """Builder and word pair for [product of left words, product of right words] == 0.
 
-    ``words(case)`` returns the left and the right list of words.
+    ``words(case)`` returns the left and the right list of words; as a word
+    identity the commutator reads U V == V U.
     """
 
     def build_case(case, rel):
         left, right = (_product(rel, side) for side in words(case))
         return commutator(left, right), rel.scalar_nf(0)
 
-    return build_case
+    def word_pair(case, rel):
+        u, v = ("".join(side) for side in words(case))
+        return u + v, v + u
+
+    return build_case, word_pair
+
+
+def _collapse(sides):
+    """Builder and word pair for base^n == word.
+
+    ``sides(case, rel)`` returns the base word and the right-hand word.
+    """
+
+    def build_case(case, rel):
+        base, rhs = sides(case, rel)
+        return rel.word(base) ** case.n, rel.word(rhs)
+
+    def word_pair(case, rel):
+        base, rhs = sides(case, rel)
+        return base * case.n, rhs
+
+    return build_case, word_pair
 
 
 def _product(rel: Relation, words) -> NormalForm:
@@ -176,7 +211,7 @@ def _thm1(case, rel):
     n, (x, y) = case.n, ("ab" if case.id == "THM1a" else "ba")
     if x == "b":
         _need_invertible(rel.sigma)
-    return rel.word(x + y + x) ** n, rel.word(x * n + y * n + x * n)
+    return x + y + x, x * n + y * n + x * n
 
 
 def _lem1(case, rel):
@@ -226,18 +261,19 @@ class _Entry(NamedTuple):
     args: tuple  # argument names IdentityCase.args() reports, in report key order
     relation: str  # the relation it needs: "central", "extended" or "any"
     build: object  # (case, relation) -> (lhs, rhs); None where verify solves for factors
+    words: object = None  # (case, relation) -> (w1, w2) for a word identity w1 == w2, else None
 
 
 _CATALOG = {
-    "THM1a": _Entry(("n",), "any", _thm1),
-    "THM1b": _Entry(("n",), "any", _thm1),
-    "COR1": _Entry(("n", "k"), "any", lambda c, rel: (rel.word("ab" * c.k + "a") ** c.n, rel.word(_t_word(c.n, c.k)))),
-    "COR2a": _Entry(("n", "m", "k"), "any", _commuting(lambda c: ([_t_word(c.n, c.k)], [_t_word(c.m, c.k)]))),
-    "COR2b": _Entry(("ns", "ms", "k"), "any", _commuting(lambda c: [[_t_word(t, c.k) for t in ts] for ts in (c.ns, c.ms)])),
-    "THM2a": _Entry(("n", "m"), "any", _commuting(lambda c: ([_block("ab", c.n)], [_block("ab", c.m)]))),
-    "THM2b": _Entry(("n", "m"), "any", _commuting(lambda c: ([_block("ab", c.n)], [_block("ba", c.m)]))),
-    "THM2c": _Entry(("n", "m"), "any", _commuting(lambda c: ([_block("ba", c.n)], [_block("ba", c.m)]))),
-    "COR3": _Entry(("ns", "ms", "orders"), "any", _commuting(_cor3_words)),
+    "THM1a": _Entry(("n",), "any", *_collapse(_thm1)),
+    "THM1b": _Entry(("n",), "any", *_collapse(_thm1)),
+    "COR1": _Entry(("n", "k"), "any", *_collapse(lambda c, rel: ("ab" * c.k + "a", _t_word(c.n, c.k)))),
+    "COR2a": _Entry(("n", "m", "k"), "any", *_commuting(lambda c: ([_t_word(c.n, c.k)], [_t_word(c.m, c.k)]))),
+    "COR2b": _Entry(("ns", "ms", "k"), "any", *_commuting(lambda c: [[_t_word(t, c.k) for t in ts] for ts in (c.ns, c.ms)])),
+    "THM2a": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ab", c.n)], [_block("ab", c.m)]))),
+    "THM2b": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ab", c.n)], [_block("ba", c.m)]))),
+    "THM2c": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ba", c.n)], [_block("ba", c.m)]))),
+    "COR3": _Entry(("ns", "ms", "orders"), "any", *_commuting(_cor3_words)),
     "LEM1a": _Entry(("n",), "central", _lem1),
     "LEM1b": _Entry(("n",), "central", _lem1),
     "THM4a": _Entry(("n",), "central", _thm4),
@@ -256,8 +292,8 @@ def _entry(cid: str) -> _Entry:
     return _CATALOG[cid]
 
 
-def build(case: IdentityCase):
-    """Both sides of the identity as normal forms."""
+def _checked_entry(case: IdentityCase) -> _Entry:
+    """The case's catalog entry, once the case's relation suits it."""
     entry, rel = _entry(case.id), case.relation
     if entry.relation == "central" and rel.has_N:
         raise UnsupportedCaseError("%s is defined for the central-remainder relation" % case.id)
@@ -265,7 +301,21 @@ def build(case: IdentityCase):
         raise UnsupportedCaseError("%s needs the extended relation" % case.id)
     if entry.build is None:
         raise UnsupportedCaseError("%s is checked by solving for factors, not as LHS == RHS" % case.id)
-    return entry.build(case, rel)
+    return entry
+
+
+def build(case: IdentityCase):
+    """Both sides of the identity as normal forms."""
+    return _checked_entry(case).build(case, case.relation)
+
+
+def word_pair(case: IdentityCase):
+    """The words (w1, w2) of a word identity w1 == w2; None for the other ids.
+
+    Raises the same UnsupportedCaseError as ``build``.
+    """
+    words = _checked_entry(case).words
+    return None if words is None else words(case, case.relation)
 
 
 def _residual_detail(rel: Relation, residual: NormalForm) -> str:
@@ -284,10 +334,18 @@ def _residual_detail(rel: Relation, residual: NormalForm) -> str:
 
 
 def verify(case: IdentityCase) -> Verdict:
-    """Exact check; the residual (LHS - RHS) is reported on failure."""
+    """Exact check; the residual (LHS - RHS) is reported on failure.
+
+    A word identity the Fock representation decides as equal passes without
+    normal ordering; every other case, and every failure, goes through the
+    engine, which computes the residual.
+    """
     if case.id == "LEM3":
         res = sl2q_solve(sl2q_triple(case.relation, alpha=None if case.n < 0 else case.n, variant=case.variant))
         return Verdict("pass" if res.ok else "fail", None if res.ok else res.residual, detail=res.detail)
+    words = word_pair(case)
+    if words is not None and fock_words_equal(case.relation, *words):
+        return Verdict("pass")
     lhs, rhs = build(case)
     residual = lhs - rhs
     if residual.is_zero():
@@ -525,8 +583,6 @@ def _proportionality_residual(x: NormalForm, y: NormalForm):
 
 def annihilation_check(n: int, variant: str = "as_stated", relation: Relation | None = None) -> Verdict:
     """(j+)^(n+1) kills the span of 1, b, ..., b^n in the vacuum module."""
-    from .reps import FockRep, fock_matrix
-
     rel = relation if relation is not None else hq()
     triple = sl2q_triple(rel, alpha=n, variant=variant)
     op = triple.jplus ** (n + 1)

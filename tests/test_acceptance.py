@@ -20,6 +20,7 @@ from qweyl import weyl as W
 from qweyl.identities import IdentityCase, annihilation_check, expand_in_ab_powers, sl2q_solve, sl2q_triple, verify
 from qweyl.scalar import A, P as SP, Poly1, Q, one
 
+from catalog_cases import criterion_3_cases
 from oracles import random_rational, random_word
 
 
@@ -57,33 +58,8 @@ def test_criterion_2_lemma_1():
 
 def test_criterion_3_commutation_families():
     with criterion(3, "block collapse and commutator families", 30):
-        rel = W.hq()
-        for k in (1, 2):
-            for n in range(1, 5):
-                assert verify(IdentityCase("COR1", rel, n=n, k=k)).passed
-        for k in (1, 2):
-            for n in range(1, 5):
-                for m in range(n, 5):
-                    assert verify(IdentityCase("COR2a", rel, n=n, m=m, k=k)).passed
-        for n in range(1, 5):
-            for m in range(1, 5):
-                assert verify(IdentityCase("THM2a", rel, n=n, m=m)).passed
-                assert verify(IdentityCase("THM2b", rel, n=n, m=m)).passed
-                assert verify(IdentityCase("THM2c", rel, n=n, m=m)).passed
-        sets4 = [(n,) for n in range(1, 5)] + [
-            tuple(sorted((a, b))) for a in range(1, 5) for b in range(a, 5)
-        ]
-        for i, ns in enumerate(sets4):
-            for ms in sets4[i:]:
-                assert verify(IdentityCase("COR2b", rel, ns=ns, ms=ms, k=1)).passed
-        sets3 = [s for s in sets4 if max(s) <= 3]
-        for i, ns in enumerate(sets3):
-            for ms in sets3[i:]:
-                assert verify(IdentityCase("COR2b", rel, ns=ns, ms=ms, k=2)).passed
-        for ns in sets3:
-            for ms in sets3:
-                for orders in I._order_assignments(len(ns) + len(ms)):
-                    assert verify(IdentityCase("COR3", rel, ns=ns, ms=ms, orders=orders)).passed
+        for case in criterion_3_cases(W.hq()):
+            assert verify(case).passed, (case.id, case.args())
 
 
 def test_criterion_4_lemma_2_expansions():

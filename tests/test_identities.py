@@ -63,6 +63,8 @@ def test_build_rejects_mismatched_relation():
         build(IdentityCase("THM5", W.extended(), n=1))
     with pytest.raises(UnsupportedCaseError):
         build(IdentityCase("THM1b", W.hq(q=0), n=2))
+    with pytest.raises(UnsupportedCaseError):  # before any word identity is decided
+        verify(IdentityCase("THM1b", W.hq(q=0), n=2))
     with pytest.raises(UnsupportedCaseError):  # LEM3 is solved for factors by verify
         build(IdentityCase("LEM3", W.hq(), n=-1))
 

@@ -1,12 +1,16 @@
 """Representation tests: relation table, realized identities, Fock matrices."""
 
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from qweyl import reps as R
 from qweyl import weyl as W
+from qweyl.identities import IdentityCase, build, verify, word_pair
 from qweyl.reps import (
     ALL_POLY_REPS,
     FockRep,
@@ -29,6 +33,7 @@ from qweyl.reps import (
     fock_theorem3_spotcheck,
     fock_vs_abstract_spotcheck,
     fock_word_matrix,
+    fock_words_equal,
     hq_fock,
     jackson,
     morphism_check,
@@ -41,6 +46,7 @@ from qweyl.reps import (
 )
 from qweyl.scalar import D, P, Poly1, Q, Scalar, one, qnum, zero
 
+from catalog_cases import criterion_3_cases
 from oracles import random_word
 
 
@@ -308,3 +314,84 @@ def test_render_rows_golden():
         ["(0)/(1)", "(0)/(1)", "(0)/(1)", "(3)/(1)"],
         ["(0)/(1)", "(0)/(1)", "(0)/(1)", "(0)/(1)"],
     ]
+
+
+# --- deciding word identities in the Fock representation ------------------------------
+
+
+def _engine_equal(rel, w1, w2):
+    return (rel.word(w1) - rel.word(w2)).is_zero()
+
+
+def test_fock_words_equal_agrees_with_engine_on_criterion_3():
+    # the engine, not verify, settles each case: verify takes the Fock decision
+    rel = W.hq()
+    for case in criterion_3_cases(rel):
+        lhs, rhs = build(case)
+        assert fock_words_equal(rel, *word_pair(case)) is (lhs - rhs).is_zero(), (case.id, case.args())
+
+
+def test_cyclotomic_counts_decide_products_of_q_integers():
+    # [k]_q = prod_(d | k, d > 1) Phi_d(q), so equal counts mean equal products and back
+    multisets = [ms for size in (1, 2) for ms in itertools.combinations_with_replacement(range(1, 9), size)]
+    product = {ms: math.prod((qnum(k) for k in ms), start=one) for ms in multisets}
+    for s1, s2 in itertools.product(multisets, repeat=2):
+        assert (R._cyclotomic_counts(s1) == R._cyclotomic_counts(s2)) is (product[s1] == product[s2]), (s1, s2)
+
+
+def _random_pairs(rng):
+    """300 permuted word pairs and 200 commutator pairs U V, V U."""
+    pairs = []
+    for _ in range(300):
+        w = random_word(rng, rng.randint(1, 8))
+        pairs.append((w, "".join(rng.sample(w, len(w)))))
+    for _ in range(200):
+        # half the factors have grade 0; those all commute, so both verdicts occur
+        u, v = (
+            "".join(rng.sample("ab" * t, 2 * t)) if rng.random() < 0.5 else random_word(rng, t)
+            for t in (rng.randint(1, 3), rng.randint(1, 3))
+        )
+        pairs.append((u + v, v + u))
+    return pairs
+
+
+# at sigma = 0 every [k]_sigma is 1, so only the kill pattern tells words apart
+@pytest.mark.parametrize(
+    "rel",
+    [W.hq(), W.hq(p=3, q=7), W.heisenberg(1, 1), W.heisenberg(P * Q, P), W.hq(q=0)],
+    ids=["hq", "p3q7", "heisenberg11", "sigma_pq", "q=0"],
+)
+def test_fock_words_equal_agrees_with_engine_on_random_words(rel):
+    verdicts = []
+    for w1, w2 in _random_pairs(random.Random(6)):
+        got = fock_words_equal(rel, w1, w2)
+        assert got is _engine_equal(rel, w1, w2), (w1, w2)
+        verdicts.append(got)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [W.hq(q=-1), W.hq(p=0), W.heisenberg(one + Q, 1), W.extended()],
+    ids=["q=-1", "p=0", "multi-term-sigma", "extended"],
+)
+def test_fock_words_equal_leaves_undecided_cases_to_the_engine(rel):
+    assert fock_words_equal(rel, "aabb", "abab") is None
+    assert fock_words_equal(rel, "abab", "abab") is None
+
+
+def test_fock_words_equal_needs_equal_letter_counts():
+    assert fock_words_equal(W.hq(), "ab", "abab") is None
+    assert fock_words_equal(W.hq(), "ab", "aa") is None
+
+
+def test_fock_words_equal_beyond_the_engine():
+    rel = W.hq()
+    case = IdentityCase("COR2b", rel, ns=(4, 4), ms=(4, 4), k=2)
+    t0 = time.perf_counter()
+    assert verify(case).passed
+    assert time.perf_counter() - t0 < 1.0
+    w1, w2 = word_pair(case)
+    for at in (w1.index("ab"), w1.rindex("ab")):
+        swapped = w1[:at] + "ba" + w1[at + 2 :]
+        assert fock_words_equal(rel, swapped, w2) is False
