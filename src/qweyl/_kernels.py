@@ -81,14 +81,6 @@ def mpoly_mul(a, b, bias):
     return out
 
 
-def mpoly_mul_term(a, key, c, bias):
-    """Product with the single term ``c * x^key``."""
-    if not c:
-        return {}
-    key -= bias
-    return {k + key: v * c for k, v in a.items()}
-
-
 def axpy_shift(acc, src, shift, c):
     """acc += c * (src with every key translated by ``shift``), in place."""
     if not c:

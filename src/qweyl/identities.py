@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .reps import FockRep, fock_matrix, fock_words_equal
-from .scalar import Poly1, Scalar, one, zero
+from .scalar import Poly1, Scalar, ScalarError, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, commutator, extended, hq
 
@@ -328,7 +328,7 @@ def _residual_detail(rel: Relation, residual: NormalForm) -> str:
     try:
         if all(c.numerator_divisible_by(probe) for _mono, c in residual.items()):
             return "common factor: %s" % probe.compact()
-    except Exception:
+    except ScalarError:
         return ""
     return ""
 

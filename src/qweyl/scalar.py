@@ -22,6 +22,7 @@ kernels of ``qweyl._kernels``.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -117,10 +118,11 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
     )
 
 
-def _order_key(key: int):
-    # graded-lex: total degree first, then the exponent vector
-    e = _unpack(key)
-    return (e[0] + e[1] + e[2] + e[3],) + e
+def _order_key(key: int) -> int:
+    # graded-lex as one int: the total degree above the key, which itself
+    # compares as lex order on (p, q, A, d) because 0 <= key < 2^80
+    deg = (key >> 60) + ((key >> 40) & _FIELD_MASK) - _QOFF + ((key >> 20) & _FIELD_MASK) + (key & _FIELD_MASK)
+    return (deg << 80) + key
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +204,82 @@ def _mp_mul(f: dict, g: dict) -> dict:
     return _k.mpoly_mul(f, g, KEY_ONE)
 
 
+# Bits where a borrow out of a lower field shows after subtracting two keys.
+_BORROWS = (1 << 60) | (1 << 40) | (1 << 20)
+
+
+def _divides(hi: int, lo: int) -> bool:
+    """True when every exponent field of key ``hi`` is at least that of ``lo``."""
+    d = hi - lo
+    return d >= 0 and not (d ^ hi ^ lo) & _BORROWS
+
+
 def _mp_divexact(f: dict, g: dict) -> dict:
-    """Exact division f/g of non-Laurent term maps; raises NotDivisibleError."""
+    """Exact division f/g of term maps; raises NotDivisibleError.
+
+    Sparse division driven by a max-heap of packed keys (Johnson 1974;
+    Monagan and Pearce, J. Symb. Comput. 46 (2011)).  The remainder is one
+    dict updated in place; the heap holds negated keys, only keys that newly
+    enter the remainder are pushed, and a popped key that has left it is
+    skipped.
+
+    Leading terms are taken in plain integer order of the keys, which is lex
+    order on (p, q, A, d), not the graded-lex order of ``_mp_leading``.  Both
+    are monomial orders, and the quotient of an exact division, or the
+    verdict that there is none, does not depend on which one drives it, so
+    the cheap integer comparison is used here.  ``_mp_leading`` stays
+    graded-lex because it fixes the canonical sign and scale of a
+    denominator, and with them the rendered text.
+    """
     if not g:
         raise ScalarDivisionError("polynomial division by zero")
     if not f:
         return {}
-    kg = _mp_leading(g)
+    kg = max(g)
     cg = g[kg]
-    eg = _unpack(kg)
-    out: dict = {}
+    # f = g*(f/g) within the key range keeps every exponent of the quotient
+    # at most _EXP_LIMIT - deg_x(g), so a quotient term kr - kg past that
+    # proves g does not divide f; refusing it keeps every key the loop forms
+    # inside its fields
+    bound = kg
+    for idx in range(_NVARS):
+        bound += (_EXP_LIMIT - _mp_degrees(g, idx)[1]) << _SHIFTS[idx]
+    tail = [(k, -v) for k, v in g.items() if k != kg]
     r = dict(f)
-    while r:
-        kr = _mp_leading(r)
-        er = _unpack(kr)
-        if any(er[i] < eg[i] for i in range(_NVARS)):
+    get = r.get
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    out: dict = {}
+    while heap:
+        kr = -pop(heap)
+        cr = r.pop(kr, None)
+        if cr is None:
+            continue  # cancelled after it was pushed
+        if not (_divides(kr, kg) and _divides(bound, kr)):
             raise NotDivisibleError("leading term not divisible")
-        dk = kr - kg + KEY_ONE
-        cr = r[kr]
-        if isinstance(cr, int) and isinstance(cg, int) and cg != 0 and cr % cg == 0:
+        d = kr - kg
+        if cg == 1:
+            c = cr
+        elif isinstance(cr, int) and isinstance(cg, int) and cr % cg == 0:
             c = cr // cg
         else:
             c = Fraction(cr) / Fraction(cg)
             if c.denominator == 1:
                 c = c.numerator
-        out[dk] = c
-        r = _k.mpoly_sub(r, _k.mpoly_mul_term(g, dk, c, KEY_ONE))
+        out[d + KEY_ONE] = c
+        for kt, vt in tail:
+            k = kt + d
+            s = get(k)
+            if s is None:
+                r[k] = c * vt
+                push(heap, -k)
+            else:
+                s = s + c * vt
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
     return out
 
 
@@ -426,10 +478,11 @@ def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
     if len(den) == 1 and next(iter(den)) == KEY_ONE:
         pass  # constant denominator: unit scaling below is all that is needed
     elif len(num) == 1 or len(den) == 1:
-        m = next(iter(_mp_monomial_gcd(num, den)))
-        if m != KEY_ONE:
-            num = _mp_divexact(num, {m: 1})
-            den = _mp_divexact(den, {m: 1})
+        # m is the componentwise minimum, so shifting by it divides exactly
+        m = next(iter(_mp_monomial_gcd(num, den))) - KEY_ONE
+        if m:
+            num = {k - m: v for k, v in num.items()}
+            den = {k - m: v for k, v in den.items()}
     else:
         g = _mp_gcd(num, den)
         if len(g) > 1 or next(iter(g)) != KEY_ONE:

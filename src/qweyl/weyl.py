@@ -210,30 +210,38 @@ class Relation:
             return {_key(0, 0, 1): one}
         got = self._r1.get(i)
         if got is None:
-            prev = self._R1(i - 1)
-            out: dict = {}
-            up = 1 << 40
-            sigma = self.sigma
-            for k, c in prev.items():
-                out[k + up] = sigma * c
-            base = (i - 1) << 40
-            if self.has_N:
-                for m, c in enumerate(self._fshift(i - 1).coeffs):
-                    if c:
-                        kk = base | (m << 20)
-                        got0 = out.get(kk)
-                        out[kk] = c if got0 is None else got0 + c
-            else:
-                if self.rho:
-                    got0 = out.get(base)
-                    s = self.rho if got0 is None else got0 + self.rho
-                    if s:
-                        out[base] = s
-                    elif got0 is not None:
-                        del out[base]
-            got = {k: v for k, v in out.items() if v}
-            self._r1[i] = got
+            # bottom-up, so no exponent reaches the recursion limit; the fill
+            # keeps the table exactly {1, ..., len(table)}
+            t = len(self._r1)
+            got = self._R1(t)
+            while t < i:
+                t += 1
+                got = self._r1[t] = self._r1_step(got, t)
         return got
+
+    def _r1_step(self, prev: dict, i: int) -> dict:
+        """a * b^i from prev = a * b^(i-1)."""
+        out: dict = {}
+        up = 1 << 40
+        sigma = self.sigma
+        for k, c in prev.items():
+            out[k + up] = sigma * c
+        base = (i - 1) << 40
+        if self.has_N:
+            for m, c in enumerate(self._fshift(i - 1).coeffs):
+                if c:
+                    kk = base | (m << 20)
+                    got0 = out.get(kk)
+                    out[kk] = c if got0 is None else got0 + c
+        else:
+            if self.rho:
+                got0 = out.get(base)
+                s = self.rho if got0 is None else got0 + self.rho
+                if s:
+                    out[base] = s
+                elif got0 is not None:
+                    del out[base]
+        return {k: v for k, v in out.items() if v}
 
     def _R(self, j: int, i: int) -> dict:
         """Term map of a^j * b^i, memoized per (j, i)."""
@@ -245,23 +253,32 @@ class Relation:
             return self._R1(i)
         got = self._r.get((j, i))
         if got is None:
-            prev = self._R(j - 1, i)
-            out: dict = {}
-            for k, c in prev.items():
-                alpha, mu, beta = _ikey(k)
-                for k2, c2 in self._R1(alpha).items():
-                    g, nu, e = _ikey(k2)
-                    cc = c * c2
-                    if mu == 0 or e == 0:
-                        # plain merge: a^e slides under N^mu only when e > 0
-                        _acc(out, _key(g, nu + mu, e + beta), cc)
-                    else:
-                        for m2, c3 in enumerate(self._shiftpow(mu, e).coeffs):
-                            if c3:
-                                _acc(out, _key(g, nu + m2, e + beta), cc * c3)
-            self._r[(j, i)] = out
-            got = out
+            # bottom-up from the largest filled row below j
+            t = j - 1
+            while t > 1 and (t, i) not in self._r:
+                t -= 1
+            got = self._R(t, i)
+            while t < j:
+                t += 1
+                got = self._r[(t, i)] = self._r_step(got)
         return got
+
+    def _r_step(self, prev: dict) -> dict:
+        """a^j * b^i from prev = a^(j-1) * b^i."""
+        out: dict = {}
+        for k, c in prev.items():
+            alpha, mu, beta = _ikey(k)
+            for k2, c2 in self._R1(alpha).items():
+                g, nu, e = _ikey(k2)
+                cc = c * c2
+                if mu == 0 or e == 0:
+                    # plain merge: a^e slides under N^mu only when e > 0
+                    _acc(out, _key(g, nu + mu, e + beta), cc)
+                else:
+                    for m2, c3 in enumerate(self._shiftpow(mu, e).coeffs):
+                        if c3:
+                            _acc(out, _key(g, nu + m2, e + beta), cc * c3)
+        return out
 
     def _mid_product(self, m1: int, j1: int, i2: int, m2: int) -> dict:
         """Term map of N^m1 * a^j1 * b^i2 * N^m2."""

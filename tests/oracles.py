@@ -111,12 +111,19 @@ def _qfactorial(n):
 
 
 def _qbinomial(n, k):
-    """Gaussian binomial [n k]_q by the q-Pascal rule [n k] = [n-1 k-1] + q^k [n-1 k]."""
+    """Gaussian binomial [n k]_q by the q-Pascal rule [n k] = [n-1 k-1] + q^k [n-1 k].
+
+    Filled row by row in a loop, so large n (a*b^1500) needs no recursion.
+    """
     if k < 0 or k > n:
         return zero
     if k == 0 or k == n:
         return one
-    return _qbinomial(n - 1, k - 1) + Q**k * _qbinomial(n - 1, k)
+    row = [one] + [zero] * k  # row[t] = [m t] for the current m, starting at m = 0
+    for m in range(1, n + 1):
+        for t in range(min(m, k), 0, -1):  # descending: row[t - 1] still holds [m-1 t-1]
+            row[t] = row[t - 1] + Q**t * row[t]
+    return row[k]
 
 
 def ab_power_ordering(j, i):

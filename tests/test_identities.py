@@ -24,7 +24,7 @@ from qweyl.identities import (
     thm6_letter_swap_matches_thm5,
     verify,
 )
-from qweyl.scalar import A, P, Poly1, Q, one, zero
+from qweyl.scalar import A, P, Poly1, Q, Scalar, ScalarError, one, zero
 
 from oracles import random_rational
 
@@ -151,6 +151,20 @@ def test_thm4a_n1_residual_golden(rel):
     golden = (one + Q) * (P - one) * rel.word("bbba") + (one - P) * rel.word("bb")
     assert v.residual == golden
     assert v.detail == "common factor: (p - 1)"
+
+
+@pytest.mark.parametrize("error, detail", [(RuntimeError, None), (ScalarError, "")])
+def test_residual_detail_catches_only_scalar_errors(rel, monkeypatch, error, detail):
+    def probe(self, other):
+        raise error("injected")
+
+    monkeypatch.setattr(Scalar, "numerator_divisible_by", probe)
+    residual = rel.word("ab") - rel.word("ba")
+    if detail is None:
+        with pytest.raises(error, match="injected"):
+            I._residual_detail(rel, residual)
+    else:
+        assert I._residual_detail(rel, residual) == detail
 
 
 def test_thm4a_residual_fock_oracle(rel):

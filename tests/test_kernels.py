@@ -70,13 +70,6 @@ def test_mul(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_polys(_LEFT_EXP), _RIGHT_EXP, st.one_of(st.just(Fraction(0)), _COEFF))
-def test_mul_term(a, e, c):
-    want = pack(ref_mul(a, {e: c})) if c else {}
-    assert K.mpoly_mul_term(pack(a), _pack(*e), c, KEY_ONE) == want
-
-
-@settings(max_examples=200, deadline=None)
 @given(_polys(_LEFT_EXP), _polys(_LEFT_EXP), _RIGHT_EXP, st.one_of(st.just(Fraction(0)), _COEFF))
 def test_axpy_shift(acc, src, e, c):
     # the shift that moves a key by the exponent tuple e
@@ -106,5 +99,4 @@ def test_empty_operands():
     assert K.mpoly_add(a, {}) == a and K.mpoly_add(a, {}) is not a
     assert K.mpoly_sub({}, a) == K.mpoly_neg(a)
     assert K.mpoly_mul({}, a, KEY_ONE) == {} == K.mpoly_mul(a, {}, KEY_ONE)
-    assert K.mpoly_mul_term({}, KEY_ONE, Fraction(2), KEY_ONE) == {}
     assert K.axpy_shift({}, {}, 5, Fraction(1)) == {}

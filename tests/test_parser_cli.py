@@ -16,6 +16,7 @@ from qweyl import weyl as W
 from qweyl.parser import EvalError, ParseError, eval_npoly, eval_scalar, evaluate, parse, parse_script, parse_statement
 from qweyl.scalar import Poly1, Scalar, qnum
 
+from oracles import ab_power_ordering
 
 REL = W.hq()
 
@@ -426,6 +427,15 @@ def test_cli_pbw_exponent_overflow_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert "exponent limit" in err and not out
+
+
+@pytest.mark.parametrize("text, j, i", [("a*b^1500", 1, 1500), ("a^1500*b", 1500, 1)])
+def test_cli_long_ab_powers_normalize(capsys, text, j, i):
+    # the memo fill recursed once per exponent, so these exited 3 with RecursionError
+    rc, out, err = cli_main(capsys, "normalize", text)
+    assert rc == 0 and not err
+    want = W.NormalForm(REL, {W._key(*mono): c for mono, c in ab_power_ordering(j, i).items()})
+    assert out == want.render() + "\n"
 
 
 def test_cli_unexpected_pass_exit_1(capsys):

@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import scalar as S
@@ -13,6 +13,7 @@ from qweyl.scalar import (
     D,
     P,
     Q,
+    NotDivisibleError,
     Poly1,
     Scalar,
     ScalarDivisionError,
@@ -205,6 +206,56 @@ def test_normalize_idempotent(x, y):
     s = x / y
     again = Scalar(dict(s.num), dict(s.den))
     assert again.num == s.num and again.den == s.den
+
+
+# --- exact division ------------------------------------------------------------
+
+# non-Laurent term maps with small exponents, coefficients stored as the kernels keep them
+_KEYS = st.tuples(*[st.integers(0, 3)] * 4).map(lambda e: S._pack(*e))
+_COEFFS = (st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool).map(S._coeff_norm)
+_TERM_MAPS = st.dictionaries(_KEYS, _COEFFS, min_size=1, max_size=5)
+_MONOMIALS = st.dictionaries(_KEYS, _COEFFS, min_size=1, max_size=1)
+
+
+def _tm(x: Scalar) -> dict:
+    assert x.den == S._MP_ONE
+    return x.num
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERM_MAPS, _TERM_MAPS | _MONOMIALS)
+# products whose cross terms cancel: (p + q)(p - q) and (p - q)(p^3 + p^2 q + p q^2 + q^3)
+@example(_tm(P + Q), _tm(P - Q))
+@example(_tm(P**3 + P**2 * Q + P * Q**2 + Q**3), _tm(P - Q))
+@example(_tm(one + Q + Q**2), _tm(one - Q + A * D))
+def test_divexact_inverts_products(f, g):
+    fg = S._mp_mul(f, g)
+    assert S._mp_divexact(fg, g) == f
+    assert S._mp_divexact(fg, f) == g
+
+
+def test_divexact_edge_cases():
+    g = {S._pack(1, 0, 0, 0): 1, S._pack(0, S._EXP_LIMIT, 0, 0): 1}  # p + q^M at the exponent limit M
+    assert S._mp_divexact({}, g) == {}
+    with pytest.raises(ScalarDivisionError):
+        S._mp_divexact(g, {})
+    # (p + q^M)(p - q^M + 1) with q^2M spelled as p*q^-2, the key it would
+    # carry into: the quotient term -q^M times q^M leaves the key range, so
+    # the division refuses it before the carried key can cancel
+    f = {S._pack(2, 0, 0, 0): 1, S._pack(1, 0, 0, 0): 1, S._pack(1, -2, 0, 0): -1, S._pack(0, S._EXP_LIMIT, 0, 0): 1}
+    with pytest.raises(NotDivisibleError):
+        S._mp_divexact(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalars(), st.booleans())
+def test_divisible_by_p_minus_1_iff_numerator_vanishes_at_1(x, times):
+    # p - 1 is monic in p, so it divides the numerator exactly when the
+    # numerator vanishes at p = 1; substitution shares no code with division
+    if times:
+        x = x * (P - 1)
+    vanishes = substitute(Scalar(x.num), {"p": 1}).is_zero()
+    assert x.numerator_divisible_by(P - 1) == vanishes
 
 
 # --- exponent range ----------------------------------------------------------
