@@ -28,7 +28,6 @@ from .identities import (
     build,
     catalog_cases,
     expand_in_ab_powers,
-    nf_poly_eval,
     sl2q_solve,
     sl2q_triple,
     solve_scalar_factor,
@@ -79,8 +78,6 @@ from .scalar import (
     SubstitutionError,
     one,
     qnum,
-    qnum_double_alpha,
-    qnum_symbolic,
     substitute,
     symbol,
     zero,
@@ -115,8 +112,6 @@ __all__ = [
     "A",
     "D",
     "qnum",
-    "qnum_symbolic",
-    "qnum_double_alpha",
     "substitute",
     # engine
     "Relation",
@@ -145,7 +140,6 @@ __all__ = [
     "sl2q_triple",
     "sl2q_solve",
     "annihilation_check",
-    "nf_poly_eval",
     "suite",
     "catalog_cases",
     # representations

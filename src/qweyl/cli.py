@@ -33,7 +33,7 @@ def _size(text: str) -> int:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, cases: bool) -> None:
+def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, cases: bool, max_n: bool = False) -> None:
     """Register the shared flags a subcommand reads; argparse rejects the rest."""
     if relation:
         p.add_argument("--relation", choices=("hq", "extended"), default="hq")
@@ -42,8 +42,9 @@ def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, c
     if params:
         p.add_argument("--params", default=None, help="comma-separated bindings, e.g. p=1,q=2/3")
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    if cases:
+    if max_n:
         p.add_argument("--max-n", type=_size, default=4, dest="max_n")
+    if cases:
         p.add_argument("--seed", type=int, default=0)
 
 
@@ -63,12 +64,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default="all", choices=("all", "core", "errata", "extended", "none"))
     p.add_argument("--ids", default=None, help="comma-separated catalog tags to keep, e.g. THM5,LEM3")
     p.add_argument("--variants", default=None, help="comma-separated variant filter, e.g. as_stated")
-    _common_flags(p, relation=False, params=True, cases=True)
+    _common_flags(p, relation=False, params=True, cases=True, max_n=True)
 
     p = sub.add_parser("rep-check", help="verify identities inside concrete representations")
     p.add_argument("--rep", choices=("diff", "diff_ab", "diff_ba", "jackson", "delta", "fock"), default=None)
     p.add_argument("--eq", choices=("1a", "1b", "2a", "2b", "3", "4", "20", "22"), default=None)
-    p.add_argument("--n", type=_size, default=None)
+    p.add_argument("--n", type=_size, default=3)
     p.add_argument("--degree", type=_size, default=None)
     _common_flags(p, relation=False, params=False, cases=True)
 
@@ -156,21 +157,14 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
-    max_n = args.n if args.n is not None else min(args.max_n, 3)
     cases = rp.standard_rep_cases(
         rep_filter=args.rep,
         eq_filter=args.eq,
-        max_n=max_n,
+        max_n=args.n,
         degree=args.degree,
         seed=args.seed,
     )
-    report = ident.run_cases(
-        (
-            (cid, dict(case_args, rep=rep), variant, {}, expected, runner)
-            for cid, rep, case_args, variant, expected, runner in cases
-        ),
-        notes=[rp.JACKSON_NOTE],
-    )
+    report = ident.run_cases(cases, notes=[rp.JACKSON_NOTE])
     _print_report(args, report)
     return 0 if report.ok() else 1
 

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .reps import FockRep, fock_matrix, fock_words_equal
-from .scalar import Poly1, Scalar, ScalarError, one, zero
+from .reps import fock_matrix, fock_words_equal, hq_fock
+from .scalar import A, Poly1, Scalar, ScalarError, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, commutator, extended, hq
 
@@ -72,7 +72,6 @@ __all__ = [
     "sl2q_solve",
     "Sl2qResult",
     "annihilation_check",
-    "nf_poly_eval",
     "thm6_letter_swap_matches_thm5",
     "SuiteConfig",
     "CaseResult",
@@ -139,15 +138,6 @@ def _t_word(n: int, k: int) -> str:
 def _block(order: str, t: int) -> str:
     """a^t b^t for order "ab", b^t a^t for "ba"."""
     return order[0] * t + order[1] * t
-
-
-def nf_poly_eval(p: Poly1, x: NormalForm) -> NormalForm:
-    """p(x) by Horner's scheme inside the algebra."""
-    rel = x.rel
-    acc = rel.scalar_nf(zero)
-    for c in reversed(p.coeffs):
-        acc = acc * x + rel.scalar_nf(c)
-    return acc
 
 
 def _need_invertible(sigma: Scalar) -> None:
@@ -253,8 +243,8 @@ def _ladder(case, rel):
 def _eq14(case, rel):
     if case.poly is None:
         raise UnsupportedCaseError("EQ14 needs a polynomial argument")
-    lhs = rel.gen("b") * nf_poly_eval(case.poly, rel.word("ab"))
-    return lhs, nf_poly_eval(case.poly, rel.word("ba")) * rel.gen("b")
+    lhs = rel.gen("b") * case.poly.evaluate(rel.word("ab"))
+    return lhs, case.poly.evaluate(rel.word("ba")) * rel.gen("b")
 
 
 class _Entry(NamedTuple):
@@ -482,11 +472,9 @@ def sl2q_triple(relation: Relation | None = None, alpha: int | None = None, vari
         raise UnsupportedCaseError("the sl2q triple lives in the central-remainder relation")
     sig = rel.sigma
     if alpha is None:
-        from .scalar import A as _A
-
-        al = (one - _A) / (one - sig)
-        al1 = (one - sig * _A) / (one - sig)
-        dbl = (one - sig**2 * _A**2) / (one - sig)
+        al = (one - A) / (one - sig)
+        al1 = (one - sig * A) / (one - sig)
+        dbl = (one - sig**2 * A**2) / (one - sig)
     else:
         al = rel.tau_number(alpha)
         al1 = rel.tau_number(alpha + 1)
@@ -587,8 +575,7 @@ def annihilation_check(n: int, variant: str = "as_stated", relation: Relation | 
     triple = sl2q_triple(rel, alpha=n, variant=variant)
     op = triple.jplus ** (n + 1)
     L = 3 * (n + 1) + n + 2
-    fock = FockRep([rel.rho * rel.tau_number(t) for t in range(1, L + 1)], L)
-    mat = fock_matrix(op, fock)
+    mat = fock_matrix(op, hq_fock(rel.rho, rel.sigma, L))
     bad = []
     for col in range(n + 1):
         column = mat.column(col)

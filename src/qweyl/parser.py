@@ -29,7 +29,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import Poly1, Scalar, zero
+from .identities import NotExpressibleError, expand_in_ab_powers
+from .scalar import Poly1, Scalar, qnum, zero
 from .weyl import NormalForm, Relation, WordError, commutator
 
 __all__ = [
@@ -277,8 +278,6 @@ def evaluate(ast, rel: Relation) -> NormalForm:
     if kind == "num":
         return rel.scalar_nf(Scalar.of(ast[1]))
     if kind == "qnum":
-        from .scalar import qnum
-
         return rel.scalar_nf(qnum(ast[1]))
     if kind in _CHAIN:
         return _fold(ast, lambda x: evaluate(x, rel))
@@ -317,8 +316,6 @@ def eval_scalar(ast) -> Scalar:
     if kind == "num":
         return Scalar.of(ast[1])
     if kind == "qnum":
-        from .scalar import qnum
-
         return qnum(ast[1])
     if kind in _CHAIN:
         return _fold(ast, eval_scalar)
@@ -423,8 +420,6 @@ def run_statement(stmt: Statement, rel: Relation, bindings: dict) -> dict:
     canonical text, verify rows the residual text ("" on pass), expand rows
     the coefficient list (or the reason the expansion fails).
     """
-    from .identities import NotExpressibleError, expand_in_ab_powers
-
     bound_rel = rel.bind(bindings) if bindings else rel
     values = [evaluate(e, bound_rel) for e in stmt.exprs]
     if bindings:

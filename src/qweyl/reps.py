@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .scalar import D as _D
-from .scalar import Poly1, Q as _Q, Scalar, one, qnum, zero
+from .scalar import P as _P, Poly1, Q as _Q, Scalar, one, qnum, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, heisenberg, hq
 
@@ -108,36 +108,35 @@ def _dplus(f: Poly1) -> Poly1:
     return (_shift(f, _D) - f) * (one / _D)
 
 
+def _u_backward(f: Poly1) -> Poly1:
+    # f - f(x - d): the unnormalized backward difference
+    return f - _shift(f, -_D)
+
+
 def _dminus(f: Poly1) -> Poly1:
     # (f(x) - f(x-d))/d
-    return (f - _shift(f, -_D)) * (one / _D)
+    return _u_backward(f) * (one / _D)
 
 
 class PolyRep:
-    """A generator assignment with its recorded relation parameters."""
+    """A generator assignment with its recorded relation parameters.
 
-    __slots__ = ("kind", "sigma", "rho")
+    ``a`` and ``b`` are the actions of the two generators on Q[x].
+    """
 
-    def __init__(self, kind: str, sigma: Scalar, rho: Scalar):
+    __slots__ = ("kind", "sigma", "rho", "_actions")
+
+    def __init__(self, kind: str, sigma: Scalar, rho: Scalar, a, b):
         self.kind = kind
         self.sigma = sigma
         self.rho = rho
+        self._actions = {"a": a, "b": b}
 
     def apply(self, gen: str, f: Poly1) -> Poly1:
-        if gen not in ("a", "b"):
+        action = self._actions.get(gen)
+        if action is None:
             raise ParameterMismatchError("polynomial representations know a and b only")
-        k = self.kind
-        if k == "diff_ab":
-            return _diff(f) if gen == "a" else _mulx(f)
-        if k == "diff_ba":
-            return _mulx(f) if gen == "a" else _diff(f)
-        if k == "jackson":
-            return _jackson_d(f) if gen == "a" else _mulx(f)
-        if k == "delta":
-            if gen == "a":
-                return _dplus(f)
-            return _mulx(_shift(f, -_D))
-        raise ParameterMismatchError("unknown representation kind %r" % k)
+        return action(f)
 
     def relation(self) -> Relation:
         """The engine relation this representation satisfies."""
@@ -148,20 +147,20 @@ class PolyRep:
 
 
 def diff_ab() -> PolyRep:
-    return PolyRep("diff_ab", one, one)
+    return PolyRep("diff_ab", one, one, _diff, _mulx)
 
 
 def diff_ba() -> PolyRep:
-    return PolyRep("diff_ba", one, -one)
+    return PolyRep("diff_ba", one, -one, _mulx, _diff)
 
 
 def jackson() -> PolyRep:
-    return PolyRep("jackson", _Q, one)
+    return PolyRep("jackson", _Q, one, _jackson_d, _mulx)
 
 
 def delta_rep() -> PolyRep:
     """a = (shift(+d) - 1)/d, b = x*shift(-d)."""
-    return PolyRep("delta", one, one)
+    return PolyRep("delta", one, one, _dplus, lambda f: _mulx(_shift(f, -_D)))
 
 
 def ALL_POLY_REPS() -> dict[str, PolyRep]:
@@ -328,16 +327,12 @@ class FockRep:
 
 def hq_fock(p=None, q=None, L: int = 12) -> FockRep:
     """The deformed-Heisenberg sequence s_n = rho * {n}; symbolic by default."""
-    from .scalar import P as _P
-
     rho = _P if p is None else Scalar.of(p)
-    if q is None:
-        return FockRep([rho * qnum(n) for n in range(1, L + 1)], L)
-    qv = Scalar.of(q)
+    qv = _Q if q is None else Scalar.of(q)
     vals = []
     acc = zero
-    for n in range(1, L + 1):
-        acc = acc * qv + one if n > 1 else one
+    for _ in range(L):
+        acc = acc * qv + one  # {n} = q {n-1} + 1
         vals.append(rho * acc)
     return FockRep(vals, L)
 
@@ -386,10 +381,7 @@ class FockMatrix:
         return FockMatrix(out, self.L, max(self.letters, other.letters))
 
     def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, zero) - v
-        return FockMatrix(out, self.L, max(self.letters, other.letters))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "FockMatrix":
         c = Scalar.of(c)
@@ -417,6 +409,8 @@ class FockMatrix:
         return FockMatrix(out, self.L, self.letters + other.letters)
 
     def matpow(self, n: int) -> "FockMatrix":
+        if n < 0:
+            raise ValueError("truncated matrices admit non-negative powers only")
         out = FockMatrix({(t, t): one for t in range(self.L + 1)}, self.L, 0)
         for _ in range(n):
             out = out @ self
@@ -675,11 +669,6 @@ def eq3_check(n: int, K: int | None = None) -> Verdict:
     return check_identity_on_basis(lhs, rhs, 2 * (n + 1) + 2 if K is None else K)
 
 
-def _u_backward(f: Poly1) -> Poly1:
-    # f - f(x - d): the unnormalized backward difference
-    return f - _shift(f, -_D)
-
-
 def _engine_cross_check(verdict: Verdict, cid: str, sigma, rho, n: int) -> Verdict:
     """Layer a basis verdict with the engine's verdict on the same identity.
 
@@ -687,6 +676,7 @@ def _engine_cross_check(verdict: Verdict, cid: str, sigma, rho, n: int) -> Verdi
     argument is subtler, so their checks are layered: the exact algebraic
     identity ``cid`` is normal-ordered by the engine and must agree.
     """
+    # imported here: identities imports this module at load time
     from .identities import IdentityCase, build
 
     lhs, rhs = build(IdentityCase(cid, heisenberg(sigma, rho), n=n))
@@ -810,7 +800,9 @@ def fock_vs_abstract_spotcheck(seed: int = 0, L: int = 12, words: int = 50) -> V
 
 
 def standard_rep_cases(rep_filter: str | None = None, eq_filter: str | None = None, max_n: int = 3, degree: int | None = None, seed: int = 0):
-    """The rep-check case list: (id, rep, args, variant, expected, runner).
+    """The rep-check case list as ``identities.run_cases`` rows.
+
+    Each row is (id, args with the rep name, variant, {}, expected, runner).
 
     ``rep_filter`` "diff" keeps both differential assignments; cases without
     an equation tag (the relation table, the Fock spot checks) run only when
@@ -857,7 +849,7 @@ def standard_rep_cases(rep_filter: str | None = None, eq_filter: str | None = No
     ]
     wanted_reps = ("diff_ab", "diff_ba") if rep_filter == "diff" else (rep_filter,)
     return [
-        (cid, name, dict(args), variant, expected, functools.partial(check, args))
+        (cid, dict(args, rep=name), variant, {}, expected, functools.partial(check, args))
         for cid, tag, name, arg_list, variants in rows
         if eq_filter is None or tag == eq_filter
         if rep_filter is None or name in wanted_reps

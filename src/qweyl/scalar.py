@@ -43,8 +43,6 @@ __all__ = [
     "A",
     "D",
     "qnum",
-    "qnum_symbolic",
-    "qnum_double_alpha",
     "substitute",
     "Poly1",
 ]
@@ -539,9 +537,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == _MP_ONE and self.den == _MP_ONE
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -682,12 +677,15 @@ class Scalar:
         return substitute(self, bindings)
 
     def rename_variable(self, src: str, dst: str) -> "Scalar":
-        """Rename variable src to dst; dst must be absent from the value."""
+        """Rename variable src to dst; dst must be absent from the value.
+
+        Renaming q is a binding of q, so it is refused while A is present.
+        """
         if src == dst:
             return self
         if self.uses(dst):
             raise SubstitutionError("target variable %s already present" % dst)
-        return substitute(self, {src: Scalar.variable(dst)}, _allow_alpha=True)
+        return substitute(self, {src: Scalar.variable(dst)})
 
     # -- rendering -----------------------------------------------------------
 
@@ -740,28 +738,6 @@ def qnum(n: int) -> Scalar:
     return Scalar({_pack(0, k, 0, 0): 1 for k in range(n)}, None, _normalized=True)
 
 
-def qnum_symbolic(shift: int) -> Scalar:
-    """{alpha + shift} for shift in {0, 1}, via the substitution A = q^alpha.
-
-    {alpha} = (1 - A)/(1 - q) and {alpha + 1} = (1 - q*A)/(1 - q).
-    """
-    if shift not in (0, 1):
-        raise ScalarError("qnum_symbolic supports shift 0 or 1")
-    num = _k.mpoly_sub(_mp_const(1), _mp_var(2))
-    if shift:
-        num = _k.mpoly_sub(_mp_const(1), _k.mpoly_mul(_mp_var(1), _mp_var(2), KEY_ONE))
-    return Scalar(num, _k.mpoly_sub(_mp_const(1), _mp_var(1)))
-
-
-def qnum_double_alpha() -> Scalar:
-    """{2*alpha + 2} = (1 - q^2 A^2)/(1 - q) under A = q^alpha."""
-    a2q2 = _k.mpoly_mul(_mp_var(1, 2), _mp_var(2, 2), KEY_ONE)
-    return Scalar(
-        _k.mpoly_sub(_mp_const(1), a2q2),
-        _k.mpoly_sub(_mp_const(1), _mp_var(1)),
-    )
-
-
 def _eval_map(f: dict, values: list["Scalar"], pow_cache: dict) -> Scalar:
     total = zero
     for k, v in f.items():
@@ -780,7 +756,7 @@ def _eval_map(f: dict, values: list["Scalar"], pow_cache: dict) -> Scalar:
     return total
 
 
-def substitute(x: Scalar, bindings: dict, *, _allow_alpha: bool = False) -> Scalar:
+def substitute(x: Scalar, bindings: dict) -> Scalar:
     """Substitute variables by rationals or Scalars, then renormalize.
 
     The binding for A (if any) is applied first because A abbreviates a power
@@ -793,7 +769,7 @@ def substitute(x: Scalar, bindings: dict, *, _allow_alpha: bool = False) -> Scal
         clean[name] = Scalar.of(value)
     if not clean:
         return x
-    if "q" in clean and "A" not in clean and x.uses("A") and not _allow_alpha:
+    if "q" in clean and "A" not in clean and x.uses("A"):
         raise SubstitutionError("bind A before (or together with) q: A depends on q")
 
     cur = x
@@ -840,10 +816,6 @@ class Poly1:
     def const(c, var: str = "N") -> "Poly1":
         return Poly1([Scalar.of(c)], var)
 
-    @staticmethod
-    def x(var: str = "N") -> "Poly1":
-        return Poly1([zero, one], var)
-
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
@@ -888,6 +860,8 @@ class Poly1:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("polynomials admit non-negative powers only")
         out = Poly1.const(1, self.var)
         base = self
         while n:
@@ -917,10 +891,7 @@ class Poly1:
 
     def compose_affine(self, scale: Scalar, offset: Scalar) -> "Poly1":
         """f(scale*X + offset)."""
-        arg = Poly1([offset, scale], self.var)
-        return self.compose(arg)
-
-    def compose(self, inner: "Poly1") -> "Poly1":
+        inner = Poly1([offset, scale], self.var)
         out = Poly1([], self.var)
         for c in reversed(self.coeffs):
             out = out * inner + Poly1.const(c, self.var)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels as _k
-from .scalar import Poly1, Scalar, join_signed, one, zero
+from .scalar import P, Q, Poly1, Scalar, join_signed, one, zero
 
 __all__ = [
     "Relation",
@@ -221,27 +221,15 @@ class Relation:
 
     def _r1_step(self, prev: dict, i: int) -> dict:
         """a * b^i from prev = a * b^(i-1)."""
-        out: dict = {}
-        up = 1 << 40
         sigma = self.sigma
-        for k, c in prev.items():
-            out[k + up] = sigma * c
+        out = {k + (1 << 40): sigma * c for k, c in prev.items()} if sigma else {}
         base = (i - 1) << 40
         if self.has_N:
             for m, c in enumerate(self._fshift(i - 1).coeffs):
-                if c:
-                    kk = base | (m << 20)
-                    got0 = out.get(kk)
-                    out[kk] = c if got0 is None else got0 + c
+                _acc(out, base | (m << 20), c)
         else:
-            if self.rho:
-                got0 = out.get(base)
-                s = self.rho if got0 is None else got0 + self.rho
-                if s:
-                    out[base] = s
-                elif got0 is not None:
-                    del out[base]
-        return {k: v for k, v in out.items() if v}
+            _acc(out, base, self.rho)
+        return out
 
     def _R(self, j: int, i: int) -> dict:
         """Term map of a^j * b^i, memoized per (j, i)."""
@@ -356,10 +344,8 @@ def hq(p=None, q=None) -> Relation:
     Omitted parameters stay symbolic.  Note the slot naming: sigma is the
     coefficient on b*a (the deformation), rho the central remainder.
     """
-    from .scalar import P as _P, Q as _Q
-
-    sigma = _Q if q is None else Scalar.of(q)
-    rho = _P if p is None else Scalar.of(p)
+    sigma = Q if q is None else Scalar.of(q)
+    rho = P if p is None else Scalar.of(p)
     return Relation(sigma, rho)
 
 
@@ -368,11 +354,9 @@ def extended(sigma=None, F: Poly1 | None = None, tau=None) -> Relation:
 
     Defaults: sigma = p (symbolic), F = 1, tau = q (symbolic).
     """
-    from .scalar import P as _P, Q as _Q
-
-    sigma = _P if sigma is None else sigma
+    sigma = P if sigma is None else sigma
     F = Poly1([1], "N") if F is None else F
-    tau = _Q if tau is None else tau
+    tau = Q if tau is None else tau
     return Relation(sigma, F=F, tau=tau)
 
 

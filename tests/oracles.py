@@ -8,10 +8,15 @@ orders is the confluence check.
 
 ``ab_power_ordering`` is the closed form for a^j b^i in the central case,
 an oracle for ``Relation._R`` that involves no recurrence on words at all.
+
+``thm4a_matrix_residual`` and ``ab_power_sum_matrix`` build Fock matrices
+from products of the letter matrices alone, so they never touch the
+reordering engine.
 """
 
 from fractions import Fraction
 
+from qweyl.reps import FockMatrix, fock_word_matrix, hq_fock
 from qweyl.scalar import P, Q, one, zero
 
 _RANK = {"b": 0, "N": 1, "a": 2}
@@ -137,3 +142,26 @@ def ab_power_ordering(j, i):
         c = _qbinomial(j, k) * _qbinomial(i, k) * _qfactorial(k) * P**k * Q ** ((j - k) * (i - k))
         out[(i - k, 0, j - k)] = c
     return out
+
+
+def thm4a_matrix_residual(n, p, q, L=16):
+    """LHS - RHS of the b-heavy ladder (THM4a) at numeric p, q, and its Fock rep."""
+    rep = hq_fock(p=p, q=q, L=L)
+    ma, mb = fock_word_matrix("a", rep), fock_word_matrix("b", rep)
+    c = sum(q**t for t in range(n))  # {n} at numeric q
+    base = mb @ mb @ ma - mb.scale(Fraction(c))
+    lhs = base.matpow(n + 1)
+    rhs = (mb.matpow(2 * n + 2) @ ma.matpow(n + 1)).scale(Fraction(q) ** (n * (n + 1)))
+    return lhs - rhs, rep
+
+
+def ab_power_sum_matrix(coeffs, rep, letters):
+    """sum_k coeffs[k] (ab)^k as a Fock matrix built from the matrix of ab."""
+    mab = fock_word_matrix("ab", rep)
+    total = FockMatrix({}, rep.L, letters)
+    acc = FockMatrix({(t, t): one for t in range(rep.L + 1)}, rep.L, 0)
+    for k, c in enumerate(coeffs):
+        if k:
+            acc = acc @ mab
+        total = total + acc.scale(c)
+    return total

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from qweyl import identities as I
 from qweyl import parser as P
@@ -21,7 +20,7 @@ from qweyl.identities import IdentityCase, annihilation_check, expand_in_ab_powe
 from qweyl.scalar import A, P as SP, Poly1, Q, one
 
 from catalog_cases import criterion_3_cases
-from oracles import random_rational, random_word
+from oracles import ab_power_sum_matrix, random_rational, random_word, thm4a_matrix_residual
 
 
 @contextmanager
@@ -77,30 +76,14 @@ def test_criterion_4_lemma_2_expansions():
             p = random_rational(rng, 1, 6)
             q = random_rational(rng, 1, 6)
             rep = R.hq_fock(p=p, q=q, L=L)
-            mab = R.fock_word_matrix("ab", rep)
             for n in (2, 3):
                 for w in ("a" * n + "b" * n, "b" * n + "a" * n):
                     coeffs = [
                         c.substitute({"p": p, "q": q}).as_fraction()
                         for c in expand_in_ab_powers(rel.word(w)).coeffs
                     ]
-                    total = R.FockMatrix({}, L, 2 * n)
-                    acc = R.FockMatrix({(t, t): one for t in range(L + 1)}, L, 0)
-                    for k, c in enumerate(coeffs):
-                        if k:
-                            acc = acc @ mab
-                        total = total + acc.scale(c)
+                    total = ab_power_sum_matrix(coeffs, rep, 2 * n)
                     assert total.windowed_equal(R.fock_word_matrix(w, rep)), (p, q, w)
-
-
-def _thm4a_matrix_residual(n, p, q, L=16):
-    rep = R.hq_fock(p=p, q=q, L=L)
-    ma, mb = R.fock_word_matrix("a", rep), R.fock_word_matrix("b", rep)
-    c = sum(q**t for t in range(n))
-    base = mb @ mb @ ma - mb.scale(Fraction(c))
-    lhs = base.matpow(n + 1)
-    rhs = (mb.matpow(2 * n + 2) @ ma.matpow(n + 1)).scale(Fraction(q) ** (n * (n + 1)))
-    return lhs - rhs, rep
 
 
 def test_criterion_5_erratum_suite():
@@ -120,7 +103,7 @@ def test_criterion_5_erratum_suite():
         for _ in range(5):
             p = random_rational(rng, 1, 7)
             q = random_rational(rng, 1, 7)
-            via_matrices, rep = _thm4a_matrix_residual(1, p, q)
+            via_matrices, rep = thm4a_matrix_residual(1, p, q)
             via_engine = R.fock_matrix(res.substitute({"p": p, "q": q}), rep)
             assert via_engine.windowed_equal(via_matrices), (p, q)
 

@@ -6,11 +6,12 @@ import pytest
 
 MODULES = ("qweyl", "qweyl.scalar", "qweyl.weyl", "qweyl.identities", "qweyl.reps", "qweyl.parser")
 
-# thin aliases of a method or an operator; call the method or operator instead
+# thin aliases and second copies of a method, an operator or a constant; call the one that stays
 REMOVED = {
     "qweyl.weyl": ("nf_of_word", "mul", "power", "grade", "substitute_params", "render"),
     "qweyl.reps": ("apply", "delta_rep_finite_difference"),
-    "qweyl.scalar": ("scalar_arith", "RatFun1"),
+    "qweyl.scalar": ("scalar_arith", "RatFun1", "qnum_symbolic", "qnum_double_alpha"),
+    "qweyl.identities": ("nf_poly_eval",),
 }
 
 

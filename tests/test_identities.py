@@ -1,7 +1,6 @@
 """Catalog verification: ladder identities, erratum variants, expansions, sl2q."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from qweyl.identities import (
     annihilation_check,
     build,
     expand_in_ab_powers,
-    nf_poly_eval,
     sl2q_solve,
     sl2q_triple,
     solve_scalar_factor,
@@ -26,7 +24,7 @@ from qweyl.identities import (
 )
 from qweyl.scalar import A, P, Poly1, Q, Scalar, ScalarError, one, zero
 
-from oracles import random_rational
+from oracles import ab_power_sum_matrix, random_rational, thm4a_matrix_residual
 
 
 @pytest.fixture(scope="module")
@@ -120,21 +118,6 @@ def test_lem1_instances(rel, n):
 # --- the erratum families --------------------------------------------------------------
 
 
-def _fock_mats(p, q, L):
-    rep = R.hq_fock(p=p, q=q, L=L)
-    return R.fock_word_matrix("a", rep), R.fock_word_matrix("b", rep), rep
-
-
-def _thm4a_matrix_residual(n, p, q, L=16):
-    """LHS - RHS of the b-heavy ladder via matrix products only."""
-    ma, mb, _rep = _fock_mats(p, q, L)
-    c = sum(q**t for t in range(n))  # {n} at numeric q
-    base = mb @ mb @ ma - mb.scale(Fraction(c))
-    lhs = base.matpow(n + 1)
-    rhs = (mb.matpow(2 * n + 2) @ ma.matpow(n + 1)).scale(Fraction(q) ** (n * (n + 1)))
-    return lhs - rhs
-
-
 @pytest.mark.parametrize("cid,max_n", [("THM4a", 4), ("THM4b", 4), ("THM5", 5)])
 def test_erratum_triples(rel, cid, max_n):
     at_p1 = W.hq(p=1)
@@ -175,9 +158,8 @@ def test_thm4a_residual_fock_oracle(rel):
         p = random_rational(rng, 1, 7)
         q = random_rational(rng, 1, 7)
         residual_nf = v.residual.substitute({"p": p, "q": q})
-        rep = R.hq_fock(p=p, q=q, L=16)
+        via_matrices, rep = thm4a_matrix_residual(1, p, q, L=16)
         via_engine = R.fock_matrix(residual_nf, rep)
-        via_matrices = _thm4a_matrix_residual(1, p, q, L=16)
         assert via_engine.windowed_equal(via_matrices), (p, q)
 
 
@@ -202,8 +184,8 @@ def test_affine_substitution_law(rel):
     ab, ba = rel.word("ab"), rel.word("ba")
     for _ in range(5):
         poly = Poly1([random_rational(rng, -3, 3) for _ in range(rng.randint(2, 5))], "t")
-        composed = poly.compose(Poly1([rel.rho, rel.sigma], "t"))
-        assert nf_poly_eval(poly, ab) == nf_poly_eval(composed, ba)
+        composed = poly.compose_affine(rel.sigma, rel.rho)
+        assert poly.evaluate(ab) == composed.evaluate(ba)
 
 
 # --- expansions ---------------------------------------------------------------------------------
@@ -238,16 +220,10 @@ def test_lemma2_fock_agreement(rel):
         p = random_rational(rng, 1, 6)
         q = random_rational(rng, 1, 6)
         rep = R.hq_fock(p=p, q=q, L=L)
-        mab = R.fock_word_matrix("ab", rep)
         for n in (1, 2, 3):
             x = rel.word("a" * n + "b" * n)
             coeffs = [c.substitute({"p": p, "q": q}).as_fraction() for c in expand_in_ab_powers(x).coeffs]
-            total = R.FockMatrix({}, L, 2 * n)
-            acc = R.FockMatrix({(t, t): one for t in range(L + 1)}, L, 0)
-            for k, c in enumerate(coeffs):
-                if k:
-                    acc = acc @ mab
-                total = total + acc.scale(c)
+            total = ab_power_sum_matrix(coeffs, rep, 2 * n)
             direct = R.fock_word_matrix("a" * n + "b" * n, rep)
             assert total.windowed_equal(direct), (p, q, n)
 
@@ -347,6 +323,17 @@ def test_sl2q_concrete_alpha():
     for n in (0, 1, 2, 3):
         res = sl2q_solve(sl2q_triple(W.hq(p=1), alpha=n))
         assert res.ok, n
+
+
+@pytest.mark.parametrize("variant", ("as_stated", "p_scaled"))
+def test_sl2q_symbolic_alpha_specializes(rel, variant):
+    # the symbolic triple at A := q^n is the triple built at alpha = n
+    symbolic = sl2q_triple(rel, variant=variant)
+    for n in range(4):
+        concrete = sl2q_triple(rel, alpha=n, variant=variant)
+        for name in ("jplus", "jzero", "jminus"):
+            got = getattr(symbolic, name).substitute({"A": Q**n})
+            assert got == getattr(concrete, name), (n, name)
 
 
 def test_sl2q_scaled_relations_hold():

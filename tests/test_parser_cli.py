@@ -359,6 +359,7 @@ def cli_main(capsys, *args):
         ("normalize", "a*b", "--seed", "1"),
         ("suite", "--relation", "extended"),
         ("rep-check", "--params", "p=1"),
+        ("rep-check", "--max-n", "2"),
     ],
 )
 def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):

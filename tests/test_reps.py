@@ -91,6 +91,12 @@ def test_diff_kills_constants():
     assert diff_ab().apply("a", xpow(0)).is_zero()
 
 
+@pytest.mark.parametrize("name", sorted(ALL_POLY_REPS()))
+def test_poly_reps_know_a_and_b_only(name):
+    with pytest.raises(ParameterMismatchError):
+        ALL_POLY_REPS()[name].apply("N", xpow(1))
+
+
 def test_delta_two_constructors_agree():
     shift_form = delta_rep()
     for k in range(8):
@@ -250,6 +256,12 @@ def test_fock_truncation_guard():
         fock_word_matrix("ababab", rep)
     with pytest.raises(TruncationError):
         FockRep([one], 1)
+
+
+def test_fock_matrix_negative_power_rejected():
+    m = fock_word_matrix("a", hq_fock(L=4))
+    with pytest.raises(ValueError):
+        m.matpow(-1)
 
 
 def test_fock_rejects_inexact_sequences():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import scalar as S
+from qweyl.identities import sl2q_triple
 from qweyl.scalar import (
     A,
     D,
@@ -20,11 +21,10 @@ from qweyl.scalar import (
     SubstitutionError,
     one,
     qnum,
-    qnum_double_alpha,
-    qnum_symbolic,
     substitute,
     zero,
 )
+from qweyl.weyl import hq
 
 
 # --- q-numbers -------------------------------------------------------------
@@ -61,30 +61,38 @@ def test_qnum_rejects_negative():
 
 
 # --- symbolic alpha q-numbers ------------------------------------------------
+# {alpha}, {alpha+1} and {2 alpha+2} under A = q^alpha, at sigma = q
+
+
+ALPHA = (one - A) / (one - Q)
+ALPHA_1 = (one - Q * A) / (one - Q)
+DOUBLE_ALPHA = (one - Q**2 * A**2) / (one - Q)
 
 
 def test_alpha_number_form():
-    assert qnum_symbolic(0) == (one - A) / (one - Q)
-    assert qnum_symbolic(1) == (one - Q * A) / (one - Q)
+    # the constants of the symbolic sl2q triple at sigma = q are these numbers
+    t = sl2q_triple(hq())
+    assert -t.jplus.coefficient(1) == ALPHA
+    assert -t.jzero.coefficient(0) == ALPHA * ALPHA_1 / DOUBLE_ALPHA
+    assert ALPHA.canonical() == "(A - 1)/(q - 1)"
 
 
 def test_alpha_number_specializes_to_qnum():
     # oracle: {alpha} at A := q^3 must agree with qnum(3)
-    assert qnum_symbolic(0).substitute({"A": Q**3}) == qnum(3)
-    assert qnum_symbolic(1).substitute({"A": Q**3}) == qnum(4)
+    assert ALPHA.substitute({"A": Q**3}) == qnum(3)
+    assert ALPHA_1.substitute({"A": Q**3}) == qnum(4)
 
 
 def test_double_alpha_number():
-    assert qnum_double_alpha() == (one - Q**2 * A**2) / (one - Q)
     # A := q^0 = 1, then the reduced fraction at q := 1
-    reduced = qnum_double_alpha().substitute({"A": 1})
+    reduced = DOUBLE_ALPHA.substitute({"A": 1})
     assert reduced == one + Q
     assert reduced.substitute({"q": 1}) == Scalar.of(2)
 
 
 def test_double_alpha_matches_qnum_at_integers():
     for n in range(5):
-        assert qnum_double_alpha().substitute({"A": Q**n}) == qnum(2 * n + 2)
+        assert DOUBLE_ALPHA.substitute({"A": Q**n}) == qnum(2 * n + 2)
 
 
 # --- arithmetic and normalization --------------------------------------------
@@ -163,6 +171,12 @@ def test_rename_variable():
     assert x.rename_variable("q", "p") == P**2 + P + 1
     with pytest.raises(SubstitutionError):
         (P + Q).rename_variable("q", "p")
+
+
+def test_rename_q_refused_while_alpha_present():
+    # renaming q binds q, and A = q^alpha depends on q
+    with pytest.raises(SubstitutionError, match="bind A"):
+        ((one - A) / (one - Q)).rename_variable("q", "p")
 
 
 # --- canonical form properties -----------------------------------------------
@@ -308,6 +322,11 @@ def test_poly1_basics():
 def test_poly1_compose_affine():
     f = Poly1([0, 0, 1])  # N^2
     assert f.compose_affine(Q, one) == Poly1([1, 2 * Q, Q**2])
+
+
+def test_poly1_negative_power_rejected():
+    with pytest.raises(ValueError):
+        Poly1([1, 1]) ** -1
 
 
 def test_poly1_degree_sentinel():

@@ -14,6 +14,7 @@ from qweyl.weyl import (
     _key,
     commutator,
     extended,
+    heisenberg,
     hq,
 )
 
@@ -321,6 +322,15 @@ def test_concurrent_memo_fill_is_idempotent():
     fresh = {w: nf_terms(hq().word(w)) for w in set(words)}
     for word, got in zip(words, results):
         assert got == fresh[word]
+
+
+@pytest.mark.parametrize("make", [lambda: heisenberg(0, 1), lambda: extended(sigma=0)], ids=["central", "extended"])
+def test_memo_tables_hold_no_zero_terms_at_sigma_zero(make):
+    # with sigma = 0 every sigma * (a b^(i-1)) term vanishes; none may stay in a table
+    rel = make()
+    assert rel.gen("a") ** 3 * rel.gen("b") ** 4 == rel.word("aaabbbb")
+    for table in (rel._r1, rel._r):
+        assert table and all(all(terms.values()) for terms in table.values())
 
 
 # --- rendering -----------------------------------------------------------------------------------------------------
