@@ -240,6 +240,9 @@ def op_scale(c, o):
 
 
 def op_pow(o, n: int):
+    if n < 0:
+        raise ValueError("operators admit non-negative powers only")
+
     def op(f):
         for _ in range(n):
             f = o(f)
@@ -260,11 +263,21 @@ def falling_factorial(n: int, step: Scalar) -> Poly1:
     return out
 
 
+def _images(op, K: int):
+    """op(x^0), ..., op(x^K), each computed when it is consumed."""
+    return (op(xpow(k)) for k in range(K + 1))
+
+
 def check_identity_on_basis(lhs_op, rhs_op, K: int) -> Verdict:
     """Compare two concrete operators on the monomials x^0..x^K."""
+    return _compare_images(_images(lhs_op, K), _images(rhs_op, K))
+
+
+def _compare_images(us, vs) -> Verdict:
+    """The basis verdict from two operators' images of x^0..x^K."""
     bad = []
-    for k in range(K + 1):
-        diff = lhs_op(xpow(k)) - rhs_op(xpow(k))
+    for k, (u, v) in enumerate(zip(us, vs)):
+        diff = u - v
         if not diff.is_zero():
             bad.append((k, diff))
     return Verdict("pass" if not bad else "fail", bad or None)
@@ -276,10 +289,13 @@ def solve_basis_factor(lhs_op, rhs_op, K: int):
     Basis vectors where both images vanish impose no constraint; a vector
     where exactly one vanishes rules a constant out.
     """
+    return _images_factor(_images(lhs_op, K), _images(rhs_op, K))
+
+
+def _images_factor(us, vs):
+    """solve_basis_factor from two operators' images of x^0..x^K."""
     c = None
-    for k in range(K + 1):
-        u = lhs_op(xpow(k))
-        v = rhs_op(xpow(k))
+    for u, v in zip(us, vs):
         if u.is_zero() and v.is_zero():
             continue
         if v.is_zero() or u.is_zero():
@@ -632,11 +648,11 @@ def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
     if K is None:
         K = 3 * (n + 1) + 2
-    verdict = check_identity_on_basis(lhs, rhs, K)
+    lhs_images = list(_images(lhs, K))
+    verdict = _compare_images(lhs_images, _images(rhs, K))
     if not corrected and n == 1:
         alt = op_compose(b, b, a, a, b, b)  # d^2 x^2 d^2
-        cross = check_identity_on_basis(lhs, alt, K)
-        if cross.passed:
+        if _compare_images(lhs_images, _images(alt, K)).passed:
             verdict.detail = "as printed, the left side equals d^2 x^2 d^2"
     return verdict
 
@@ -714,10 +730,12 @@ def eq22_constant(n: int, K: int | None = None):
         K = 4 * (n + 1) + 4
     lhs = _ladder(lambda f: _mulx(_dminus(f)), range(1, n + 1))
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_dminus, n + 1))
-    c = solve_basis_factor(lhs, rhs, K)
+    # each side's images serve both the constant and the verdict
+    lhs_images, rhs_images = list(_images(lhs, K)), list(_images(rhs, K))
+    c = _images_factor(lhs_images, rhs_images)
     if c is None:
         return Verdict("fail", "no basis-independent constant"), None, False
-    verdict = check_identity_on_basis(lhs, op_compose(op_scale(c, _op_id), rhs), K)
+    verdict = _compare_images(lhs_images, (v * c for v in rhs_images))
     matches_printed = c == _D ** (n + 1)
     verdict.detail = "constant %s; printed d^%d %s" % (
         c.compact(),

@@ -890,12 +890,27 @@ class Poly1:
         return acc
 
     def compose_affine(self, scale: Scalar, offset: Scalar) -> "Poly1":
-        """f(scale*X + offset)."""
-        inner = Poly1([offset, scale], self.var)
-        out = Poly1([], self.var)
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly1.const(c, self.var)
-        return out
+        """f(scale*X + offset), by a Taylor shift on one coefficient list.
+
+        The shift f(X + offset) is the classic in-place scheme: n(n-1)/2
+        Scalar products and no intermediate polynomial (von zur Gathen and
+        Gerhard, "Fast algorithms for Taylor shifts and certain difference
+        equations", ISSAC 1997).  Coefficient k is then multiplied by
+        scale**k, since f(scale*X + offset) = g(scale*X) for g = f(X + offset).
+        """
+        scale, offset = Scalar.of(scale), Scalar.of(offset)
+        c = list(self.coeffs)
+        n = len(c)
+        if offset:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    c[j] = c[j] + offset * c[j + 1]
+        if scale != one:
+            power = one
+            for k in range(1, n):
+                power = power * scale
+                c[k] = c[k] * power
+        return Poly1(c, self.var)
 
     def map_coeffs(self, fn) -> "Poly1":
         return Poly1([fn(c) for c in self.coeffs], self.var)

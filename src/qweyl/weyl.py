@@ -191,8 +191,7 @@ class Relation:
         """(tau^t N + {t})^m, the result of moving N^m across t letters."""
         got = self._shift_pow.get((m, t))
         if got is None:
-            affine = Poly1([self.tau_number(t), self.tau**t], "N")
-            got = affine**m
+            got = Poly1([zero] * m + [one], "N").compose_affine(self.tau**t, self.tau_number(t))
             self._shift_pow[(m, t)] = got
         return got
 

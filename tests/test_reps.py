@@ -1,5 +1,6 @@
 """Representation tests: relation table, realized identities, Fock matrices."""
 
+import collections
 import itertools
 import math
 import random
@@ -39,6 +40,7 @@ from qweyl.reps import (
     morphism_check,
     op_compose,
     op_gen,
+    op_pow,
     realize,
     rep_relation_check,
     sequence_residual,
@@ -173,6 +175,31 @@ def test_eq1_second_as_printed_fails_with_cross_identity():
     assert "d^2 x^2 d^2" in v.detail
 
 
+def test_eq1_second_evaluates_each_side_once(monkeypatch):
+    # lhs, rhs and the cross identity d^2 x^2 d^2: three images of each x^k, not four
+    built = collections.Counter()
+    xpow_before = R.xpow
+
+    def counting_xpow(k):
+        built[k] += 1
+        return xpow_before(k)
+
+    monkeypatch.setattr(R, "xpow", counting_xpow)
+    v = eq1_second_check(1, corrected=False)
+    assert built == {k: 3 for k in range(9)}
+    # verdict and detail as recorded before the images were shared
+    assert v.detail == "as printed, the left side equals d^2 x^2 d^2"
+    assert [(k, d.text()) for k, d in v.residual] == [
+        (2, "-20"),
+        (3, "-84*x"),
+        (4, "-216*x^2"),
+        (5, "-440*x^3"),
+        (6, "-780*x^4"),
+        (7, "-1260*x^5"),
+        (8, "-1904*x^6"),
+    ]
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_eq1_second_corrected(n):
     assert eq1_second_check(n, corrected=True).passed
@@ -216,6 +243,39 @@ def test_eq22_constant_found_and_differs(n):
     assert verdict.passed
     assert c == one
     assert not matches_printed  # printed value d^(n+1) is not the constant found
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_eq22_constant_evaluates_each_basis_vector_once_per_side(monkeypatch, n):
+    # the ladder (lhs) and the power of the backward difference (rhs) each see
+    # x^0..x^K once; their images give both the constant and the verdict
+    seen = {"lhs": [], "rhs": []}
+
+    def counted(side, op):
+        def wrapped(f):
+            seen[side].append(f.degree())
+            return op(f)
+
+        return wrapped
+
+    ladder_before, pow_before = R._ladder, R.op_pow
+    monkeypatch.setattr(R, "_ladder", lambda T, cs: counted("lhs", ladder_before(T, cs)))
+    monkeypatch.setattr(R, "op_pow", lambda o, m: counted("rhs", pow_before(o, m)))
+    verdict, c, matches_printed = eq22_constant(n)
+    K = 4 * (n + 1) + 4
+    assert sorted(seen["lhs"]) == list(range(K + 1))
+    assert sorted(seen["rhs"]) == list(range(K + 1))
+    # the values recorded before the images were shared
+    assert (verdict.status, c.canonical(), matches_printed) == ("pass", "(1)/(1)", False)
+    assert verdict.detail == "constant 1; printed d^%d differs" % (n + 1)
+
+
+def test_op_pow_rejects_negative_powers():
+    b = op_gen(diff_ab(), "b")
+    with pytest.raises(ValueError):
+        op_pow(b, -1)
+    assert op_pow(b, 0)(xpow(2)) == xpow(2)
+    assert op_pow(b, 2)(xpow(2)) == xpow(4)
 
 
 # --- Fock representations ---------------------------------------------------------------------

@@ -45,11 +45,17 @@ LEAVES = st.one_of(
     st.sampled_from(sorted(TWINS)).map(TWINS.get),
     st.fractions(min_value=-5, max_value=5, max_denominator=4).map(_const),
 )
-QUOTIENTS = st.recursive(
-    LEAVES,
-    lambda children: st.tuples(st.sampled_from("+-*/"), children, children).map(_apply),
-    max_leaves=7,
-)
+
+
+def _quotients(max_leaves: int):
+    return st.recursive(
+        LEAVES,
+        lambda children: st.tuples(st.sampled_from("+-*/"), children, children).map(_apply),
+        max_leaves=max_leaves,
+    )
+
+
+QUOTIENTS = _quotients(7)
 
 
 def _sympy_of(text: str):
@@ -113,3 +119,70 @@ def test_divexact_matches_sympy_remainder(g, h, extra):
 )
 def test_divexact_refuses_late_like_sympy(f, g):
     assert not _assert_division_matches_sympy(f.num, g.num)
+
+
+# --- compose_affine is f(scale*x + offset) as sympy substitutes it --------------------------
+
+X = sympy.Symbol("x")
+_COEFFS = st.just(_const(Fraction(0))) | _quotients(3)
+_OFFSETS = {
+    "0": (S.zero, 0),
+    "d": (S.D, SYMS["d"]),
+    "-d": (-S.D, -SYMS["d"]),
+    "p+A-1/q": (S.P + S.A - S.Q**-1, SYMS["p"] + SYMS["A"] - 1 / SYMS["q"]),
+}
+_SCALES = {
+    "1": (S.one, 1),
+    "0": (S.zero, 0),
+    "q": (S.Q, SYMS["q"]),
+    "1/q": (S.Q**-1, 1 / SYMS["q"]),
+    "p+q-2": (S.P + S.Q - 2, SYMS["p"] + SYMS["q"] - 2),
+}
+
+
+def _assert_compose_affine_matches_sympy(coeffs, scale, offset):
+    (s, s_twin), (o, o_twin) = scale, offset
+    f = S.Poly1([c for c, _ in coeffs], "x")
+    twin = sum((tc * X**k for k, (_, tc) in enumerate(coeffs)), sympy.Integer(0))
+    expected = sympy.expand(twin.subs(X, s_twin * X + o_twin))
+    got = f.compose_affine(s, o)
+    assert got.var == "x"
+    assert not got.coeffs or not got.coeffs[-1].is_zero()
+    for k in range(max(len(got.coeffs), len(coeffs))):
+        assert sympy.cancel(_sympy_scalar(got[k]) - expected.coeff(X, k)) == 0, (k, got)
+
+
+def _sympy_scalar(x):
+    """The sympy value of a Scalar, read term by term from its packed keys."""
+    return _sympy_terms(x.num) / _sympy_terms(x.den)
+
+
+def _sympy_terms(f: dict):
+    terms = []
+    for key, c in f.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in zip(S.VAR_NAMES, S._unpack(key)):
+            term *= SYMS[name] ** e
+        terms.append(term)
+    return sympy.Add(*terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_COEFFS, min_size=0, max_size=9),
+    st.sampled_from(sorted(_SCALES)).map(_SCALES.get),
+    st.sampled_from(sorted(_OFFSETS)).map(_OFFSETS.get),
+)
+def test_compose_affine_matches_sympy(coeffs, scale, offset):
+    _assert_compose_affine_matches_sympy(coeffs, scale, offset)
+
+
+@pytest.mark.parametrize("scale", sorted(_SCALES))
+@pytest.mark.parametrize("offset", sorted(_OFFSETS))
+def test_compose_affine_matches_sympy_on_every_scale_and_offset(scale, offset):
+    # degree 4 with a zero and a Laurent coefficient, so every loop bound and
+    # the order of shift and scaling show
+    coeffs = [TWINS["p"], _const(Fraction(-3, 2)), _const(Fraction(0)), TWINS["1/q"], TWINS["A"]]
+    _assert_compose_affine_matches_sympy(coeffs, _SCALES[scale], _OFFSETS[offset])
+    _assert_compose_affine_matches_sympy([], _SCALES[scale], _OFFSETS[offset])
