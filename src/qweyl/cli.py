@@ -11,6 +11,7 @@ times).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,7 +49,14 @@ def _common_flags(p: argparse.ArgumentParser, *, relation: bool, params: bool, c
         p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The process-wide parser, built on the first call; callers must not modify it.
+
+    Parsing keeps no state in it: each ``parse_args`` makes a fresh namespace,
+    and usage errors and ``--help`` look up the output streams and terminal
+    width when they print.
+    """
     top = argparse.ArgumentParser(prog="qweyl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -179,9 +187,8 @@ def _print_report(args, report: Report) -> None:
 
 
 def main(argv=None) -> int:
-    top = build_arg_parser()
     try:
-        args = top.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

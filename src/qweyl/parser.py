@@ -8,12 +8,12 @@ Grammar (whitespace-insensitive, juxtaposition is never multiplication):
     atom    := 'a' | 'b' | 'N' | 'p' | 'q' | 'A' | 'd' | RATIONAL
              | 'qnum(' NAT ')' | 'comm(' expr ',' expr ')' | '(' expr ')'
 
-RATIONAL is DIGITS or DIGITS/DIGITS with no intervening spaces; 'd' is the
-ASCII name of the shift step.  Exponents may be negative only where the
-value is an invertible scalar (in practice: powers of q); generator powers
-must be non-negative.  Parse errors carry line, column and the expected
-token set.  Parentheses and comm(...) nest at most MAX_NESTING levels deep;
-long flat sums and products have no such limit.
+RATIONAL is DIGITS or DIGITS/DIGITS with no intervening spaces and a nonzero
+denominator; 'd' is the ASCII name of the shift step.  Exponents may be
+negative only where the value is an invertible scalar (in practice: powers
+of q); generator powers must be non-negative.  Parse errors carry line,
+column and the expected token set.  Parentheses and comm(...) nest at most
+MAX_NESTING levels deep; long flat sums and products have no such limit.
 
 Statements layer on top of expressions:
 
@@ -95,7 +95,10 @@ def _tokenize(text: str):
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                toks.append(("NUMBER", Fraction(int(text[i:j]), int(text[j + 1 : k])), line, col))
+                den = int(text[j + 1 : k])
+                if den == 0:
+                    raise ParseError("zero denominator in %r" % text[i:k], line, col)
+                toks.append(("NUMBER", Fraction(int(text[i:j]), den), line, col))
                 col += k - i
                 i = k
             else:

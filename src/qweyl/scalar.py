@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 from . import _kernels as _k
@@ -456,7 +457,12 @@ def _mp_text(f: dict) -> str:
             elif e != 0:
                 factors.append("%s^%d" % (name, e))
         if not factors or mag != 1:
-            factors.insert(0, str(mag))
+            try:
+                factors.insert(0, str(mag))
+            except ValueError:  # CPython's cap on int-to-decimal conversion
+                raise ScalarError(
+                    "coefficient too long to print: more than %d decimal digits" % sys.get_int_max_str_digits()
+                ) from None
         terms.append((neg, "*".join(factors)))
     return join_signed(terms)
 

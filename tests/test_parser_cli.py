@@ -1,5 +1,6 @@
 """Parser round-trips, grammar goldens, and CLI end-to-end runs."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -60,6 +61,8 @@ def test_grammar_accepts(text):
         ("", 1),
         ("a $ b", 3),
         ("3//2", 2),
+        ("(1/0)", 2),
+        ("a + 02/00", 5),
     ],
 )
 def test_grammar_rejects_with_position(text, col):
@@ -216,6 +219,13 @@ def test_run_script():
     assert [r["status"] for r in rows] == ["pass", "pass", "pass", "pass", "fail"]
     assert rows[1]["result"] == "q*b*a + 1"
     assert rows[3]["result"] == ["-1", "1"]  # ba = (ab - 1)/1 at p=q=1
+
+
+def test_run_script_zero_denominator_is_parse_error():
+    # Fraction(1, 0) raised a bare ZeroDivisionError
+    with pytest.raises(ParseError, match="zero denominator in '1/0'") as err:
+        P.run_script("normalize a\nnormalize 1/0", W.hq())
+    assert (err.value.line, err.value.col) == (1, 2)
 
 
 # --- CLI ------------------------------------------------------------------------------------------
@@ -377,12 +387,24 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
         # unknown suite filters are input errors of the same kind (were exit 3, and exit 0 with no cases)
         ("suite", "--catalog", "core", "--ids", "BOGUS"),
         ("suite", "--catalog", "errata", "--variants", "bogus"),
+        # a zero-denominator literal (were exit 3 with ``internal error: ZeroDivisionError(...)``)
+        ("normalize", "(1/0)"),
+        ("verify", "1/0 == a"),
+        ("normalize", "a", "--sigma", "1/0"),
+        ("expand", "a", "--relation", "extended", "--F", "1/0"),
     ],
 )
 def test_cli_bad_bindings_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert err.startswith("error: ") and not out
+
+
+def test_cli_coefficient_too_long_exit_2(capsys):
+    # exited 2 with CPython's message, which names sys.set_int_max_str_digits()
+    rc, out, err = cli_main(capsys, "normalize", "2^100000")
+    assert rc == 2 and not out
+    assert err == "error: coefficient too long to print: more than %d decimal digits\n" % sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize(
@@ -455,3 +477,47 @@ def test_cli_internal_error_exit_3(capsys, monkeypatch):
     rc, out, err = cli_main(capsys, "normalize", "a")
     assert rc == 3
     assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
+
+
+# --- one parser per process: in-process calls answer as fresh processes do -------------------------
+
+REUSE_SEQUENCE = (
+    ("normalize", "a*b", "--params", "p=1"),
+    ("normalize", "a*b"),
+    ("normalize", "a*b", "--seed", "1"),
+    ("--help",),
+    ("--help",),
+    ("verify", "--help"),
+    ("frobnicate",),
+    ("normalize", "(1/0)"),
+    ("suite", "--catalog", "core", "--format", "json"),
+    ("normalize", "a*b", "--relation", "extended", "--F", "N"),
+)
+
+
+def test_cli_main_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # help and usage text wrap at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_arg_parser.cache_clear()
+    for args in REUSE_SEQUENCE:
+        fresh = run_cli(*args)
+        assert cli_main(capsys, *args) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+
+
+def test_cli_main_builds_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.Action.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.Action, "__init__", counting_init)
+    cli.build_arg_parser.cache_clear()
+    assert cli_main(capsys, "normalize", "a*b")[0] == 0
+    assert built and cli.build_arg_parser.cache_info().misses == 1
+    del built[:]
+    for args in (("normalize", "a*b"), ("verify", "a == a"), ("frobnicate",), ("--help",)):
+        cli_main(capsys, *args)
+    assert not built
+    assert cli.build_arg_parser.cache_info().misses == 1

@@ -1,6 +1,7 @@
 """Coefficient-field tests: q-numbers, normalization, substitution, axioms."""
 
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from qweyl.scalar import (
     Poly1,
     Scalar,
     ScalarDivisionError,
+    ScalarError,
     SubstitutionError,
     one,
     qnum,
@@ -130,6 +132,17 @@ def test_negative_power():
 def test_rational_coefficients():
     x = Scalar.of(Fraction(3, 2)) * P
     assert x.canonical() == "(3/2*p)/(1)"
+
+
+@pytest.mark.parametrize("value", [10**5000 - 1, Fraction(1, 7**6000)], ids=["integer", "rational"])
+def test_coefficient_too_long_to_print(value):
+    # CPython refuses the decimal conversion with a message about its own API
+    x = Scalar.of(value) * P
+    want = "coefficient too long to print: more than %d decimal digits" % sys.get_int_max_str_digits()
+    for render in (x.canonical, x.compact, Poly1([one, x], "x").text):
+        with pytest.raises(ScalarError) as err:
+            render()
+        assert str(err.value) == want
 
 
 # --- substitution -------------------------------------------------------------
