@@ -26,6 +26,7 @@ Statements layer on top of expressions:
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,6 +72,15 @@ _KEYWORDS = ("qnum", "comm")
 MAX_NESTING = 100
 
 
+def _int_literal(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # CPython's cap on decimal-to-int conversion
+        raise ParseError(
+            "integer literal too long: more than %d decimal digits" % sys.get_int_max_str_digits(), line, col
+        ) from None
+
+
 def _tokenize(text: str):
     toks = []
     line, col = 1, 1
@@ -87,22 +97,23 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            num = _int_literal(text[i:j], line, col)
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdecimal():
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
-                den = int(text[j + 1 : k])
+                den = _int_literal(text[j + 1 : k], line, col + j + 1 - i)
                 if den == 0:
                     raise ParseError("zero denominator in %r" % text[i:k], line, col)
-                toks.append(("NUMBER", Fraction(int(text[i:j]), den), line, col))
+                toks.append(("NUMBER", Fraction(num, den), line, col))
                 col += k - i
                 i = k
             else:
-                toks.append(("NUMBER", Fraction(int(text[i:j])), line, col))
+                toks.append(("NUMBER", Fraction(num), line, col))
                 col += j - i
                 i = j
             continue

@@ -283,17 +283,12 @@ def _compare_images(us, vs) -> Verdict:
     return Verdict("pass" if not bad else "fail", bad or None)
 
 
-def solve_basis_factor(lhs_op, rhs_op, K: int):
-    """Scalar c with lhs = c * rhs on x^0..x^K, or None.
+def _images_factor(us, vs):
+    """Scalar c with u = c * v for the images us, vs of x^0..x^K, or None.
 
     Basis vectors where both images vanish impose no constraint; a vector
     where exactly one vanishes rules a constant out.
     """
-    return _images_factor(_images(lhs_op, K), _images(rhs_op, K))
-
-
-def _images_factor(us, vs):
-    """solve_basis_factor from two operators' images of x^0..x^K."""
     c = None
     for u, v in zip(us, vs):
         if u.is_zero() and v.is_zero():

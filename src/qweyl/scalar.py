@@ -68,21 +68,30 @@ class NotDivisibleError(ScalarError):
 # ---------------------------------------------------------------------------
 # packed exponent keys
 #
-# Four 20-bit fields, most significant first: p, q, A, d.  The q field is
-# biased so Laurent exponents stay non-negative inside the key.  Adding two
-# keys and subtracting KEY_ONE multiplies the monomials; Scalar arithmetic
-# and the gcd multiply through _mp_mul, which refuses a product that would
-# carry one field into the next.
+# Four fields, most significant first: p, q, A, d.  p, A and d exponents
+# (0.._EXP_LIMIT) need 19 bits; q (-_EXP_LIMIT.._EXP_LIMIT) is stored biased
+# by _QOFF as 1..2^20 - 1 and needs 20.  Each field has one guard bit on top,
+# clear in every key, so p, A and d take 20 bits and q takes 21 (Monagan and
+# Pearce, CASC 2007).  Adding two keys and subtracting KEY_ONE multiplies the
+# monomials; a field sum then never carries into the next field, and one out
+# of range sets its guard bit.  A biased q below 0 borrows from p, which sets
+# the q guard bit too; a biased q of exactly 0 does not, so the test also
+# looks at the key minus Q_UNIT.  So one mask test per key, _mp_checked, is
+# exact for every key formed by a product, a quotient or a q shift of
+# in-range keys.
 
 VAR_NAMES = ("p", "q", "A", "d")
 _NVARS = 4
-_FIELD_BITS = 20
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_SHIFTS = (60, 40, 20, 0)
+_FIELD_BITS = (20, 21, 20, 20)
+_SHIFTS = (61, 40, 20, 0)  # the widths of the fields below each one, summed
+_FIELD_MASK = (1 << min(_FIELD_BITS)) - 1  # reads any in-range field: its guard bit is clear
+_KEY_BITS = _SHIFTS[0] + _FIELD_BITS[0]
 _QOFF = 1 << 19
 _EXP_LIMIT = (1 << 19) - 1
 
-KEY_ONE = _QOFF << 40  # all exponents zero
+Q_UNIT = 1 << _SHIFTS[1]  # the key step of one power of q
+KEY_ONE = _QOFF * Q_UNIT  # all exponents zero
+_GUARDS = sum(1 << (s + w - 1) for s, w in zip(_SHIFTS, _FIELD_BITS))
 
 
 def _pack(ep: int, eq: int, ea: int, ed: int) -> int:
@@ -90,18 +99,10 @@ def _pack(ep: int, eq: int, ea: int, ed: int) -> int:
         raise ScalarError("exponent out of range (p, A, d must be 0..%d)" % _EXP_LIMIT)
     if not (-_QOFF < eq <= _EXP_LIMIT):
         raise ScalarError("q exponent out of range")
-    return (ep << 60) | ((eq + _QOFF) << 40) | (ea << 20) | ed
+    sp, sq, sa, sd = _SHIFTS
+    return (ep << sp) | ((eq + _QOFF) << sq) | (ea << sa) | (ed << sd)
 
 
-# A key is small when p, A, d < 2^18 and -2^17 <= q < 2^17; products and
-# quotients of small keys cannot leave the key range.  Subtracting _SMALL_BIAS
-# moves the q field to q + 2^17 (borrowing from p when q < -2^17), so a key is
-# small exactly when no bit of _WIDE_BITS is set afterwards (p itself never
-# passes 2^19 - 1, so two bits cover its field).  Every product of the
-# benchmark workloads has only small keys; the exact range scan of _mp_mul
-# alone made rep-crosscheck passes 2.3x slower.
-_SMALL_BIAS = 3 << 57
-_WIDE_BITS = (3 << 78) | (3 << 58) | (3 << 38) | (3 << 18)
 _RANGE_MSG = (
     "result exceeds the exponent limit: p, A and d exponents must stay in 0..%d, q exponents in -%d..%d"
     % ((_EXP_LIMIT,) * 3)
@@ -109,19 +110,33 @@ _RANGE_MSG = (
 
 
 def _unpack(key: int) -> tuple[int, int, int, int]:
+    sp, sq, sa, sd = _SHIFTS
     return (
-        key >> 60,
-        ((key >> 40) & _FIELD_MASK) - _QOFF,
-        (key >> 20) & _FIELD_MASK,
-        key & _FIELD_MASK,
+        key >> sp,
+        ((key >> sq) & _FIELD_MASK) - _QOFF,
+        (key >> sa) & _FIELD_MASK,
+        (key >> sd) & _FIELD_MASK,
     )
 
 
 def _order_key(key: int) -> int:
     # graded-lex as one int: the total degree above the key, which itself
-    # compares as lex order on (p, q, A, d) because 0 <= key < 2^80
-    deg = (key >> 60) + ((key >> 40) & _FIELD_MASK) - _QOFF + ((key >> 20) & _FIELD_MASK) + (key & _FIELD_MASK)
-    return (deg << 80) + key
+    # compares as lex order on (p, q, A, d) because 0 <= key < 2^_KEY_BITS
+    sp, sq, sa, sd = _SHIFTS
+    deg = (key >> sp) + ((key >> sq) & _FIELD_MASK) - _QOFF + ((key >> sa) & _FIELD_MASK) + ((key >> sd) & _FIELD_MASK)
+    return (deg << _KEY_BITS) + key
+
+
+def _mp_checked(f: dict) -> dict:
+    """f itself, refused with ScalarError when a key has left the exponent range.
+
+    Exact for keys formed from in-range keys by one product, quotient or q
+    shift (see the key layout above).
+    """
+    for k in f:
+        if (k | (k - Q_UNIT)) & _GUARDS:
+            raise ScalarError(_RANGE_MSG)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +160,14 @@ def _mp_qclear(f: dict) -> tuple[dict, int]:
 
     Refused with ScalarError when f's q exponents span more than the field.
     """
-    lo, hi = _mp_degrees(f, 1)
-    if hi - lo > _EXP_LIMIT:
-        raise ScalarError(_RANGE_MSG)
-    return _mp_qshift(f, -lo), lo
+    lo = _mp_degrees(f, 1)[0]
+    if not lo:
+        return f, 0
+    return _mp_checked(_mp_qshift(f, -lo)), lo
 
 
 def _mp_qshift(f: dict, n: int) -> dict:
-    if n == 0:
-        return f
-    off = n << 40
+    off = n * Q_UNIT
     return {k + off: v for k, v in f.items()}
 
 
@@ -177,34 +190,19 @@ def _mp_degrees(f: dict, idx: int) -> tuple[int, int]:
     return min(exps), max(exps)
 
 
-def _mp_small(f: dict, g: dict) -> bool:
-    """True when every key of f and of g is small (see _SMALL_BIAS)."""
-    for k in f:
-        if (k - _SMALL_BIAS) & _WIDE_BITS:
-            return False
-    for k in g:
-        if (k - _SMALL_BIAS) & _WIDE_BITS:
-            return False
-    return True
-
-
 def _mp_mul(f: dict, g: dict) -> dict:
-    """Product f*g, refused with ScalarError when a term would leave the key range.
+    """Product f*g, refused with ScalarError when a term leaves the key range.
 
-    The check runs once per product on the operands' exponent ranges, so the
-    packed fields never carry into each other and the kernel stays unchecked.
+    Over an integral domain the top (and, in q, the bottom) degree part of a
+    product is the product of the operands' parts, so it never cancels: a
+    term leaves the range exactly when the operands' degree ranges add up
+    past it.
     """
-    if not _mp_small(f, g) and f and g:
-        for idx in range(_NVARS):
-            lo_f, hi_f = _mp_degrees(f, idx)
-            lo_g, hi_g = _mp_degrees(g, idx)
-            if hi_f + hi_g > _EXP_LIMIT or lo_f + lo_g <= -_QOFF:
-                raise ScalarError(_RANGE_MSG)
-    return _k.mpoly_mul(f, g, KEY_ONE)
+    return _mp_checked(_k.mpoly_mul(f, g, KEY_ONE))
 
 
 # Bits where a borrow out of a lower field shows after subtracting two keys.
-_BORROWS = (1 << 60) | (1 << 40) | (1 << 20)
+_BORROWS = sum(1 << s for s in _SHIFTS[:-1])
 
 
 def _divides(hi: int, lo: int) -> bool:
@@ -236,13 +234,9 @@ def _mp_divexact(f: dict, g: dict) -> dict:
         return {}
     kg = max(g)
     cg = g[kg]
-    # f = g*(f/g) within the key range keeps every exponent of the quotient
-    # at most _EXP_LIMIT - deg_x(g), so a quotient term kr - kg past that
-    # proves g does not divide f; refusing it keeps every key the loop forms
-    # inside its fields
-    bound = kg
-    for idx in range(_NVARS):
-        bound += (_EXP_LIMIT - _mp_degrees(g, idx)[1]) << _SHIFTS[idx]
+    # an exact quotient is in range, so a quotient term that is not proves g
+    # does not divide f; refusing it keeps every key the loop forms (a tail
+    # key of g plus an in-range quotient key) inside its fields
     tail = [(k, -v) for k, v in g.items() if k != kg]
     r = dict(f)
     get = r.get
@@ -255,9 +249,10 @@ def _mp_divexact(f: dict, g: dict) -> dict:
         cr = r.pop(kr, None)
         if cr is None:
             continue  # cancelled after it was pushed
-        if not (_divides(kr, kg) and _divides(bound, kr)):
-            raise NotDivisibleError("leading term not divisible")
         d = kr - kg
+        kq = d + KEY_ONE
+        if not _divides(kr, kg) or (kq | (kq - Q_UNIT)) & _GUARDS:  # as _mp_checked
+            raise NotDivisibleError("leading term not divisible")
         if cg == 1:
             c = cr
         elif isinstance(cr, int) and isinstance(cg, int) and cr % cg == 0:
@@ -266,7 +261,7 @@ def _mp_divexact(f: dict, g: dict) -> dict:
             c = Fraction(cr) / Fraction(cg)
             if c.denominator == 1:
                 c = c.numerator
-        out[d + KEY_ONE] = c
+        out[kq] = c
         for kt, vt in tail:
             k = kt + d
             s = get(k)
@@ -493,10 +488,7 @@ def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
             num = _mp_divexact(num, g)
             den = _mp_divexact(den, g)
     if qnet:
-        # num's q exponents run from 0 up; the shift must keep them in the field
-        if qnet <= -_QOFF or qnet + _mp_degrees(num, 1)[1] > _EXP_LIMIT:
-            raise ScalarError(_RANGE_MSG)
-        num = _mp_qshift(num, qnet)
+        num = _mp_checked(_mp_qshift(num, qnet))
     c = den[_mp_leading(den)]
     if c != 1:
         inv = Fraction(1, 1) / Fraction(c)

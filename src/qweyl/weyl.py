@@ -108,7 +108,7 @@ class Relation:
         self._mid: dict = {}
         self._shift_pow: dict = {}
         self._f_shift: dict = {}
-        self._tau_num: dict = {}
+        self._tau_num: list = []
 
     # -- identity of the defining data, independent of cache state ----------
 
@@ -177,15 +177,20 @@ class Relation:
     # -- reordering engine -----------------------------------------------------
 
     def tau_number(self, n: int) -> Scalar:
-        """{n} with base tau: 1 + tau + ... + tau^(n-1)."""
-        got = self._tau_num.get(n)
-        if got is None:
+        """{n} with base tau: 1 + tau + ... + tau^(n-1); zero for n <= 0."""
+        if n <= 0:
+            return zero
+        table = self._tau_num
+        if not table:
+            table.append(zero)
+        if n >= len(table):
+            # bottom-up, {t} = base*{t-1} + 1; the table stays {0}, ..., {len-1}
             base = self.tau if self.has_N else self.sigma
-            got = zero
-            for s in range(n):
-                got = got + base**s
-            self._tau_num[n] = got
-        return got
+            got = table[-1]
+            for _ in range(len(table), n + 1):
+                got = base * got + one
+                table.append(got)
+        return table[n]
 
     def _shiftpow(self, m: int, t: int) -> Poly1:
         """(tau^t N + {t})^m, the result of moving N^m across t letters."""

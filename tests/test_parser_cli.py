@@ -228,6 +228,13 @@ def test_run_script_zero_denominator_is_parse_error():
     assert (err.value.line, err.value.col) == (1, 2)
 
 
+def test_run_script_long_literal_is_parse_error():
+    # int() raised CPython's ValueError, which names sys.set_int_max_str_digits()
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        P.run_script("with p=1\nverify a*b == q*b*a + 3/" + "7" * 5000, W.hq())
+    assert (err.value.line, err.value.col) == (1, 12)  # the denominator, in the statement's right-hand side
+
+
 # --- CLI ------------------------------------------------------------------------------------------
 
 
@@ -398,6 +405,29 @@ def test_cli_bad_bindings_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("1" * 5000, 1),
+        ("a + " + "3" * 5000 + "/2", 5),
+        ("a + 2/" + "3" * 5000, 7),
+        ("a^" + "9" * 5000, 3),
+    ],
+)
+def test_cli_long_integer_literal_exit_2(capsys, text, col):
+    # exited 2 with CPython's message, which names sys.set_int_max_str_digits()
+    rc, out, err = cli_main(capsys, "normalize", text)
+    assert rc == 2 and not out
+    want = "error: integer literal too long: more than %d decimal digits at line 1, column %d\n"
+    assert err == want % (sys.get_int_max_str_digits(), col)
+
+
+def test_cli_non_decimal_digit_is_parse_error(capsys):
+    # "²" passes str.isdigit() but not int(), which raised a ValueError without a position
+    rc, out, err = cli_main(capsys, "normalize", "a^²")
+    assert (rc, out, err) == (2, "", "error: unexpected character '²' at line 1, column 3\n")
 
 
 def test_cli_coefficient_too_long_exit_2(capsys):

@@ -28,6 +28,8 @@ from qweyl.scalar import (
 )
 from qweyl.weyl import hq
 
+from test_kernels import ref_mul
+
 
 # --- q-numbers -------------------------------------------------------------
 
@@ -320,6 +322,102 @@ def test_monomial_products_are_exact_or_refused(e1, e2):
     else:
         with pytest.raises(S.ScalarError):
             x * y
+
+
+_HALF = 2**18  # 262144: two halves reach the first exponent past the range
+
+
+_mono = Scalar.variable
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (_mono("p", _HALF), _mono("p", _HALF)),  # the p guard bit
+        (_mono("q", _HALF), _mono("q", _HALF)),  # the q guard bit
+        (_mono("A", _HALF), _mono("A", _HALF)),  # the A guard bit
+        (_mono("d", _HALF), _mono("d", _HALF)),  # the d guard bit
+        (_mono("q", -_HALF), _mono("q", -_HALF)),  # biased q of exactly 0: only the Q_UNIT borrow sees it
+        (_mono("q", -_HALF), _mono("q", -_HALF - 1)),  # biased q of -1 borrows from p
+        (_mono("q", -_HALF) * P, _mono("q", -_HALF - 1)),  # ... also when p is there to borrow from
+    ],
+    ids=["p", "q", "A", "d", "q-zero", "q-borrow", "q-borrow-p"],
+)
+def test_each_guard_bit_refuses_its_field(x, y):
+    with pytest.raises(S.ScalarError, match="exponent limit"):
+        x * y
+
+
+@pytest.mark.parametrize("name", S.VAR_NAMES)
+def test_products_at_the_range_boundaries_are_exact(name):
+    assert (_mono(name, _HALF - 1) * _mono(name, _HALF)).num == _mono(name, _LIMIT).num
+    if name == "q":
+        assert (_mono(name, -_HALF + 1) * _mono(name, -_HALF)).num == _mono(name, -_LIMIT).num
+
+
+def _in_range(e) -> bool:
+    return -_LIMIT <= e[1] <= _LIMIT and all(0 <= e[i] <= _LIMIT for i in (0, 2, 3))
+
+
+_EDGE_TERMS = st.dictionaries(
+    st.tuples(_exps, _qexps, _exps, _exps), st.sampled_from([1, -1, 2, Fraction(1, 2)]), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGE_TERMS, _EDGE_TERMS)
+@example({(0, _LIMIT, 0, 0): 1, (0, 0, 0, 0): 1}, {(0, -_LIMIT, 0, 0): 1, (0, 1, 0, 0): -1})
+@example({(_LIMIT, 0, 0, 0): 1, (0, 0, 0, 0): -1}, {(1, 0, 0, 0): 1})
+@example({(0, -_LIMIT, 0, 0): 1, (0, 0, 0, 0): 1}, {(0, -1, 0, 0): 1})  # q^-524288: a biased q of 0
+def test_products_equal_the_reference_or_are_refused(a, b):
+    want = ref_mul(a, b)
+    f, g = ({S._pack(*e): c for e, c in x.items()} for x in (a, b))
+    if all(_in_range(e) for e in want):
+        assert S._mp_mul(f, g) == {S._pack(*e): c for e, c in want.items()}
+    else:
+        with pytest.raises(S.ScalarError, match="exponent limit"):
+            S._mp_mul(f, g)
+
+
+def test_qclear_span_fills_the_field_exactly():
+    ok = {S._pack(0, -_HALF, 0, 0): 1, S._pack(0, _HALF - 1, 0, 0): 1}  # span 524287
+    assert S._mp_qclear(ok) == ({S._pack(0, 0, 0, 0): 1, S._pack(0, _LIMIT, 0, 0): 1}, -_HALF)
+    for wide in (
+        {S._pack(0, -_HALF, 0, 0): 1, S._pack(0, _HALF, 0, 0): 1},  # span 524288
+        {S._pack(0, -_LIMIT, 0, 0): 1, S._pack(0, 1, 0, 0): 1},
+    ):
+        with pytest.raises(S.ScalarError, match="exponent limit"):
+            S._mp_qclear(wide)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (Q**-300000, Q**300000 * (1 + Q)),  # the q shift of the reduced quotient reaches -600000
+        (Q**300000 * (1 + Q), Q**-300000),  # ... and 600000
+    ],
+    ids=["low", "high"],
+)
+def test_quotient_q_shift_is_checked(num, den):
+    with pytest.raises(S.ScalarError, match="exponent limit"):
+        num / den
+
+
+def test_quotient_q_shift_at_the_boundary():
+    x = Q ** (_HALF - 1) / (Q**-_HALF * (1 + Q))
+    assert x.num == {S._pack(0, _LIMIT, 0, 0): 1}
+    assert (Q ** -(_HALF - 1) / (Q**_HALF * (1 + Q))).num == {S._pack(0, -_LIMIT, 0, 0): 1}
+
+
+def test_divexact_refuses_an_out_of_range_quotient_term():
+    # (p^4 - p*q^-4) / (p + q^M) for M the limit: the quotient runs p^3,
+    # -p^2 q^M, p q^2M, ...; without refusing q^2M the next remainder term
+    # q^4M carries into p as p*q^-4, cancels f's second term and the
+    # division reads as exact
+    g = {S._pack(1, 0, 0, 0): 1, S._pack(0, _LIMIT, 0, 0): 1}
+    f = {S._pack(4, 0, 0, 0): 1, S._pack(1, -4, 0, 0): -1}
+    with pytest.raises(NotDivisibleError):
+        S._mp_divexact(f, g)
 
 
 # --- Poly1 -------------------------------------------------------------------

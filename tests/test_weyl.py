@@ -349,3 +349,35 @@ def test_render_extended():
     ext = extended()
     assert ext.word("ab").render() == "p*b*a + 1"
     assert ext.word("aN").render() == "q*N*a + a"
+
+
+# --- tau numbers ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [hq, extended, lambda: extended(sigma=1, tau=2), lambda: heisenberg(0, P)],
+    ids=["hq", "extended", "extended-1-2", "sigma-0"],
+)
+def test_tau_number_is_the_explicit_sum(make):
+    rel = make()
+    base = rel.tau if rel.has_N else rel.sigma
+    want = [sum((base**s for s in range(n)), S.zero) for n in range(10)]
+    for order in ([5, 2, 9, 0, 7], range(9, -1, -1)):
+        for n in order:
+            assert rel.tau_number(n) == want[n]
+        rel.clear_caches()
+    assert rel.tau_number(-1) == S.zero  # the empty sum
+
+
+def test_tau_number_fills_bottom_up(monkeypatch):
+    # the explicit sum of every new n was quadratic in n: a*b^600 under
+    # extended() spent 20.9 of 21.3 s there under cProfile
+    rel = extended()
+    calls = []
+    mul = S.Scalar.__mul__
+    monkeypatch.setattr(S.Scalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    rel.tau_number(200)
+    assert len(calls) <= 200
+    rel.tau_number(150)
+    assert len(calls) <= 200  # read back from the table
