@@ -117,10 +117,14 @@ def _run_statement(args, kind: str) -> dict:
     rel = _relation_from(args)
     bindings = par.parse_bindings(args.params or "")
     text = " ".join(args.expr)
-    # verify splits at '=='; the others parse the bare words, so error
-    # columns count from the start of the expression
+    # error columns count from the start of the expression; verify splits at
+    # '==' and counts each side from its own start, after one blank
     if kind == "verify":
-        stmt = par.parse_statement("verify " + text)
+        body = " " + text.rstrip()
+        left, sep, right = body.partition("==")
+        if not sep:
+            raise par.ParseError("verify needs '=='", 1, len(body), {"=="})
+        stmt = par.Statement("verify", (par.parse(left), par.parse(right)))
     else:
         stmt = par.Statement(kind, (par.parse(text),))
     return par.run_statement(stmt, rel, bindings)

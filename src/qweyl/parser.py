@@ -81,9 +81,8 @@ def _int_literal(digits: str, line: int, col: int) -> int:
         ) from None
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, line: int, col: int):
     toks = []
-    line, col = 1, 1
     i = 0
     n = len(text)
     while i < n:
@@ -141,8 +140,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
+    def __init__(self, text: str, line: int, col: int):
+        self.toks = _tokenize(text, line, col)
         self.pos = 0
         self.depth = -1  # parentheses and comm( around the expr being parsed
 
@@ -250,9 +249,13 @@ class _Parser:
             self.fail({"end of input"})
 
 
-def parse(text: str):
-    """Parse an expression into an Ast (nested tuples)."""
-    p = _Parser(text)
+def parse(text: str, line: int = 1, col: int = 1):
+    """Parse an expression into an Ast (nested tuples).
+
+    ``line`` and ``col`` are the position of ``text[0]`` in the input it was
+    cut from; error positions count from there.
+    """
+    p = _Parser(text, line, col)
     node = p.expr()
     p.done()
     return node
@@ -374,33 +377,44 @@ class Statement:
     bindings: dict = field(default_factory=dict)
 
 
-def parse_statement(text: str) -> Statement:
+def _position(text: str, i: int, line: int, col: int) -> tuple[int, int]:
+    """The (line, column) of ``text[i]`` when ``text[0]`` sits at (line, col)."""
+    newlines = text.count("\n", 0, i)
+    if newlines:
+        return line + newlines, i - text.rfind("\n", 0, i)
+    return line, col + i
+
+
+def parse_statement(text: str, line: int = 1, col: int = 1) -> Statement:
+    """One statement; error positions count from (line, col), the position of ``text[0]``."""
+    start = len(text) - len(text.lstrip())
     stripped = text.strip()
     head = stripped.split(None, 1)[0] if stripped else ""
     if head == "with":
-        return Statement("with", (), parse_bindings(stripped[len("with") :]))
-    if head in ("normalize", "expand"):
+        return Statement("with", (), parse_bindings(stripped[len("with") :], *_position(text, start, line, col)))
+    if head in ("normalize", "expand", "verify"):
+        body_at = _position(text, start + len(head), line, col)
         body = stripped[len(head) :]
-        return Statement(head, (parse(body),))
-    if head == "verify":
-        body = stripped[len("verify") :]
-        return _parse_verify(body)
+        if head == "verify":
+            return _parse_verify(body, *body_at)
+        return Statement(head, (parse(body, *body_at),))
     if "==" in stripped:
-        return _parse_verify(stripped)
-    return Statement("normalize", (parse(stripped),))
+        return _parse_verify(stripped, *_position(text, start, line, col))
+    return Statement("normalize", (parse(stripped, *_position(text, start, line, col)),))
 
 
-def _parse_verify(body: str) -> Statement:
+def _parse_verify(body: str, line: int, col: int) -> Statement:
     left, sep, right = body.partition("==")
     if not sep:
-        raise ParseError("verify needs '=='", 1, max(1, len(body)), {"=="})
-    return Statement("verify", (parse(left), parse(right)))
+        raise ParseError("verify needs '=='", *_position(body, max(0, len(body) - 1), line, col), {"=="})
+    return Statement("verify", (parse(left, line, col), parse(right, *_position(body, len(left) + 2, line, col))))
 
 
-def parse_bindings(text: str) -> dict:
+def parse_bindings(text: str, line: int = 1, col: int = 1) -> dict:
     """``NAME=RATIONAL, ...`` as written in with-clauses and ``--params``.
 
-    NAME is one of p, q, A, d; RATIONAL is anything ``Fraction`` reads.
+    NAME is one of p, q, A, d; RATIONAL is anything ``Fraction`` reads.  A
+    malformed binding is reported at (line, col), where the clause starts.
     """
     bindings = {}
     for piece in text.split(","):
@@ -410,20 +424,26 @@ def parse_bindings(text: str) -> dict:
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep or name not in _SYM:
-            raise ParseError("a binding is NAME=RATIONAL with NAME one of p, q, A, d", 1, 1, set(_SYM))
+            raise ParseError("a binding is NAME=RATIONAL with NAME one of p, q, A, d", line, col, set(_SYM))
         try:
             bindings[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ParseError("binding value must be rational", 1, 1, {"rational"}) from None
+            raise ParseError("binding value must be rational", line, col, {"rational"}) from None
     return bindings
 
 
 def parse_script(text: str) -> list[Statement]:
-    """Newline/semicolon separated statements; blank lines are skipped."""
+    """Newline/semicolon separated statements; blank ones are skipped.
+
+    Error positions are the script's line and the column within that line.
+    """
     out = []
-    for chunk in text.replace(";", "\n").splitlines():
-        if chunk.strip():
-            out.append(parse_statement(chunk))
+    for line, text_line in enumerate(text.splitlines(), 1):
+        col = 1
+        for chunk in text_line.split(";"):
+            if chunk.strip():
+                out.append(parse_statement(chunk, line, col))
+            col += len(chunk) + 1
     return out
 
 

@@ -105,17 +105,17 @@ def _shift(f: Poly1, step: Scalar) -> Poly1:
 
 def _dplus(f: Poly1) -> Poly1:
     # (f(x+d) - f(x))/d
-    return (_shift(f, _D) - f) * (one / _D)
+    return f.difference(_D)
+
+
+def _dminus(f: Poly1) -> Poly1:
+    # (f(x) - f(x-d))/d, which is (f(x-d) - f(x))/(-d)
+    return f.difference(-_D)
 
 
 def _u_backward(f: Poly1) -> Poly1:
     # f - f(x - d): the unnormalized backward difference
-    return f - _shift(f, -_D)
-
-
-def _dminus(f: Poly1) -> Poly1:
-    # (f(x) - f(x-d))/d
-    return _u_backward(f) * (one / _D)
+    return _dminus(f) * _D
 
 
 class PolyRep:

@@ -420,6 +420,39 @@ def _mp_gcd(f: dict, g: dict) -> dict:
     return _mp_gcd_int(_mp_int(f), _mp_int(g))
 
 
+def _taylor(coeffs: list[dict], term: tuple[int, object], drop: int) -> list[dict]:
+    """Term maps of sum_j c_j ((X + o)^j - drop*X^j) / o^drop, for drop 0 or 1.
+
+    ``coeffs`` are the term maps of polynomial coefficients c_j and ``term``
+    is the (key, coefficient) pair of the single-term offset o.  This is the
+    binomial form of the Taylor shift (von zur Gathen and Gerhard, ISSAC
+    1997): output j - t gains C(j, t) * o^(t - drop) * c_j, and o^s is the
+    key step s*(key(o) - KEY_ONE) with coefficient c_o**s, so the sum is one
+    ``axpy_shift`` per (j, t) and builds no Scalar.
+    """
+    ko, co = term
+    top = len(coeffs) - 1 - drop
+    if top > 0:
+        # o^top has the largest exponents of every power used.  It is checked
+        # by its exponents, because its key may overshoot a field's guard bit;
+        # every key formed below is then a product of two in-range keys, which
+        # _mp_checked decides exactly.
+        ep, eq, ea, ed = _unpack(ko)
+        if max(ep, ea, ed) * top > _EXP_LIMIT or not -_QOFF < eq * top <= _EXP_LIMIT:
+            raise ScalarError(_RANGE_MSG)
+    step = ko - KEY_ONE
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * co)
+    out: list[dict] = [{} for _ in range(len(coeffs) - drop)]
+    for j, c in enumerate(coeffs):
+        if c:
+            for t in range(drop, j + 1):
+                s = t - drop
+                _k.axpy_shift(out[j - t], c, s * step, math.comb(j, t) * powers[s])
+    return [_mp_checked(f) for f in out]
+
+
 def _coeff_norm(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
@@ -733,7 +766,9 @@ def qnum(n: int) -> Scalar:
     """The q-number {n} = 1 + q + ... + q^(n-1), built as the explicit sum."""
     if n < 0:
         raise ScalarError("qnum expects n >= 0")
-    return Scalar({_pack(0, k, 0, 0): 1 for k in range(n)}, None, _normalized=True)
+    if n - 1 > _EXP_LIMIT:
+        raise ScalarError("q exponent out of range")
+    return Scalar({KEY_ONE + e * Q_UNIT: 1 for e in range(n)}, None, _normalized=True)
 
 
 def _eval_map(f: dict, values: list["Scalar"], pow_cache: dict) -> Scalar:
@@ -888,27 +923,53 @@ class Poly1:
         return acc
 
     def compose_affine(self, scale: Scalar, offset: Scalar) -> "Poly1":
-        """f(scale*X + offset), by a Taylor shift on one coefficient list.
+        """f(scale*X + offset): a Taylor shift, then the scaling.
 
-        The shift f(X + offset) is the classic in-place scheme: n(n-1)/2
+        A nonzero single-term offset over coefficients with denominator 1
+        shifts by one binomial sum on term maps (``_taylor``).  Any other
+        offset or coefficient takes the classic in-place scheme: n(n-1)/2
         Scalar products and no intermediate polynomial (von zur Gathen and
         Gerhard, "Fast algorithms for Taylor shifts and certain difference
         equations", ISSAC 1997).  Coefficient k is then multiplied by
         scale**k, since f(scale*X + offset) = g(scale*X) for g = f(X + offset).
         """
         scale, offset = Scalar.of(scale), Scalar.of(offset)
-        c = list(self.coeffs)
-        n = len(c)
-        if offset:
-            for i in range(n - 1):
-                for j in range(n - 2, i - 1, -1):
-                    c[j] = c[j] + offset * c[j + 1]
+        c = self._taylor_coeffs(offset, 0)
+        n = len(self.coeffs)
+        if c is None:
+            c = list(self.coeffs)
+            if offset:
+                for i in range(n - 1):
+                    for j in range(n - 2, i - 1, -1):
+                        c[j] = c[j] + offset * c[j + 1]
         if scale != one:
             power = one
             for k in range(1, n):
                 power = power * scale
                 c[k] = c[k] * power
         return Poly1(c, self.var)
+
+    def difference(self, step) -> "Poly1":
+        """(f(X + step) - f(X)) / step, the difference quotient of f.
+
+        A nonzero single-term step over coefficients with denominator 1 is
+        one binomial sum on term maps (``_taylor`` without its t = 0 terms),
+        so neither the shift nor the division forms a Scalar quotient.  Any
+        other step shifts with ``compose_affine`` and divides; a zero step
+        raises ScalarDivisionError.
+        """
+        step = Scalar.of(step)
+        c = self._taylor_coeffs(step, 1)
+        if c is None:
+            return (self.compose_affine(one, step) - self) * (one / step)
+        return Poly1(c, self.var)
+
+    def _taylor_coeffs(self, offset: Scalar, drop: int):
+        """The coefficients of ``_taylor`` over this polynomial; None where it does not apply."""
+        if len(offset.num) != 1 or offset.den != _MP_ONE or any(c.den != _MP_ONE for c in self.coeffs):
+            return None
+        [term] = offset.num.items()
+        return [Scalar(f, None, _normalized=True) for f in _taylor([c.num for c in self.coeffs], term, drop)]
 
     def map_coeffs(self, fn) -> "Poly1":
         return Poly1([fn(c) for c in self.coeffs], self.var)

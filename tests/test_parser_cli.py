@@ -225,14 +225,39 @@ def test_run_script_zero_denominator_is_parse_error():
     # Fraction(1, 0) raised a bare ZeroDivisionError
     with pytest.raises(ParseError, match="zero denominator in '1/0'") as err:
         P.run_script("normalize a\nnormalize 1/0", W.hq())
-    assert (err.value.line, err.value.col) == (1, 2)
+    assert (err.value.line, err.value.col) == (2, 11)
 
 
 def test_run_script_long_literal_is_parse_error():
     # int() raised CPython's ValueError, which names sys.set_int_max_str_digits()
     with pytest.raises(ParseError, match="integer literal too long") as err:
         P.run_script("with p=1\nverify a*b == q*b*a + 3/" + "7" * 5000, W.hq())
-    assert (err.value.line, err.value.col) == (1, 12)  # the denominator, in the statement's right-hand side
+    assert (err.value.line, err.value.col) == (2, 25)  # the denominator
+
+
+@pytest.mark.parametrize(
+    "script, line, col",
+    [
+        ("normalize a\nnormalize a^^2", 2, 13),
+        ("normalize a; normalize a^^2", 1, 26),  # a statement after ';' keeps its line's columns
+        ("\n\n  verify a == b^^2", 3, 17),
+        ("with p=1; a*b == (b", 1, 20),  # a bare verify, at the end of input
+        ("normalize a\n verify a*b", 2, 11),  # no '==': the statement's last character
+        ("normalize a\n  a $ b", 2, 5),
+        ("normalize a\nnormalize b;  with p=--2", 2, 15),  # a bad binding: where its with-clause starts
+    ],
+)
+def test_script_errors_name_script_positions(script, line, col):
+    with pytest.raises(ParseError) as err:
+        P.parse_script(script)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith("at line %d, column %d" % (line, col))
+
+
+def test_statement_errors_count_from_the_statement():
+    with pytest.raises(ParseError) as err:
+        parse_statement("verify a == b^^2")
+    assert (err.value.line, err.value.col) == (1, 15)
 
 
 # --- CLI ------------------------------------------------------------------------------------------

@@ -64,6 +64,12 @@ def test_qnum_rejects_negative():
         qnum(-1)
 
 
+def test_qnum_rejects_q_exponents_past_the_range():
+    # {2^19 + 1} ends in q^(2^19), one past the q field's limit
+    with pytest.raises(S.ScalarError, match="q exponent out of range"):
+        qnum(2**19 + 1)
+
+
 # --- symbolic alpha q-numbers ------------------------------------------------
 # {alpha}, {alpha+1} and {2 alpha+2} under A = q^alpha, at sigma = q
 
@@ -418,6 +424,41 @@ def test_divexact_refuses_an_out_of_range_quotient_term():
     f = {S._pack(4, 0, 0, 0): 1, S._pack(1, -4, 0, 0): -1}
     with pytest.raises(NotDivisibleError):
         S._mp_divexact(f, g)
+
+
+# --- the term-map Taylor sum of Poly1.compose_affine and Poly1.difference --------
+
+
+def _xpow(k: int) -> Poly1:
+    return Poly1([0] * k + [1], "x")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _xpow(4).compose_affine(one, P**_HALF),  # o^4 = p^(2^20) sits above the top field's guard bit
+        lambda: _xpow(4).compose_affine(one, Q**-_HALF),  # q^(-2^20)
+        lambda: _xpow(2).compose_affine(one, Q**-_HALF),  # q^(-2^19), one below the range
+        lambda: _xpow(5).difference(P**_HALF),  # the largest power used is o^3
+        lambda: Poly1([0, 0, P**_HALF]).compose_affine(one, P ** (_HALF - 1)),  # o^2 fits, times its coefficient not
+    ],
+    ids=["p", "q", "q-edge", "difference", "coefficient"],
+)
+def test_taylor_sum_refuses_keys_past_their_field(build):
+    with pytest.raises(ScalarError, match="exponent limit"):
+        build()
+
+
+@pytest.mark.parametrize("o", [P ** (_HALF - 1), Q ** (_HALF - 1), Q ** -(_HALF - 1)], ids=["p", "q", "1/q"])
+def test_taylor_sum_at_the_range_boundary(o):
+    assert _xpow(2).compose_affine(one, o) == Poly1([o * o, 2 * o, 1], "x")
+    assert _xpow(3).difference(o) == Poly1([o * o, 3 * o, 3], "x")
+
+
+def test_difference_of_a_constant_and_by_zero():
+    assert _xpow(0).difference(D).is_zero()
+    with pytest.raises(ScalarDivisionError):
+        _xpow(2).difference(zero)
 
 
 # --- Poly1 -------------------------------------------------------------------

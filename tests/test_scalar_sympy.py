@@ -125,12 +125,26 @@ def test_divexact_refuses_late_like_sympy(f, g):
 
 X = sympy.Symbol("x")
 _COEFFS = st.just(_const(Fraction(0))) | _quotients(3)
+# polynomial coefficients (denominator 1, Laurent in q), where a single-term
+# offset takes the term-map sum instead of Scalar arithmetic
+_POLY_COEFFS = st.just(_const(Fraction(0))) | st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2)).map(lambda e: S._pack(*e)),
+    st.integers(-3, 3).filter(bool) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]),
+    min_size=1,
+    max_size=3,
+).map(lambda f: (S.Scalar(f, None, _normalized=True), _sympy_terms(f)))
+_COEFF_LISTS = st.lists(_COEFFS, min_size=0, max_size=9) | st.lists(_POLY_COEFFS, min_size=0, max_size=9)
 _OFFSETS = {
     "0": (S.zero, 0),
     "d": (S.D, SYMS["d"]),
     "-d": (-S.D, -SYMS["d"]),
+    "3/2*q^-1": (S.Scalar.of(Fraction(3, 2)) * S.Q**-1, sympy.Rational(3, 2) / SYMS["q"]),
+    "-p*d^2": (-S.P * S.D**2, -SYMS["p"] * SYMS["d"] ** 2),
     "p+A-1/q": (S.P + S.A - S.Q**-1, SYMS["p"] + SYMS["A"] - 1 / SYMS["q"]),
 }
+# a quotient offset only on the fixed coefficients: under random quotient
+# coefficients its Scalar gcds make a single example take minutes
+_ALL_OFFSETS = {**_OFFSETS, "p/(1+q)": (S.P / (1 + S.Q), SYMS["p"] / (1 + SYMS["q"]))}
 _SCALES = {
     "1": (S.one, 1),
     "0": (S.zero, 0),
@@ -142,13 +156,27 @@ _SCALES = {
 
 def _assert_compose_affine_matches_sympy(coeffs, scale, offset):
     (s, s_twin), (o, o_twin) = scale, offset
-    f = S.Poly1([c for c, _ in coeffs], "x")
-    twin = sum((tc * X**k for k, (_, tc) in enumerate(coeffs)), sympy.Integer(0))
+    f, twin = _poly1_and_twin(coeffs)
     expected = sympy.expand(twin.subs(X, s_twin * X + o_twin))
-    got = f.compose_affine(s, o)
+    _assert_coefficients_match(f.compose_affine(s, o), expected, len(coeffs))
+
+
+def _assert_difference_matches_sympy(coeffs, step):
+    o, o_twin = step
+    f, twin = _poly1_and_twin(coeffs)
+    expected = sympy.expand(sympy.cancel((twin.subs(X, X + o_twin) - twin) / o_twin))
+    _assert_coefficients_match(f.difference(o), expected, len(coeffs))
+
+
+def _poly1_and_twin(coeffs):
+    f = S.Poly1([c for c, _ in coeffs], "x")
+    return f, sum((tc * X**k for k, (_, tc) in enumerate(coeffs)), sympy.Integer(0))
+
+
+def _assert_coefficients_match(got, expected, n):
     assert got.var == "x"
     assert not got.coeffs or not got.coeffs[-1].is_zero()
-    for k in range(max(len(got.coeffs), len(coeffs))):
+    for k in range(max(len(got.coeffs), n)):
         assert sympy.cancel(_sympy_scalar(got[k]) - expected.coeff(X, k)) == 0, (k, got)
 
 
@@ -168,9 +196,9 @@ def _sympy_terms(f: dict):
     return sympy.Add(*terms)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.lists(_COEFFS, min_size=0, max_size=9),
+    _COEFF_LISTS,
     st.sampled_from(sorted(_SCALES)).map(_SCALES.get),
     st.sampled_from(sorted(_OFFSETS)).map(_OFFSETS.get),
 )
@@ -178,11 +206,31 @@ def test_compose_affine_matches_sympy(coeffs, scale, offset):
     _assert_compose_affine_matches_sympy(coeffs, scale, offset)
 
 
+# degree 4 with a zero and a Laurent coefficient, so every loop bound and the
+# order of shift and scaling show; all polynomial, then one with a denominator
+_FIXED_COEFFS = [TWINS["p"], _const(Fraction(-3, 2)), _const(Fraction(0)), TWINS["1/q"], TWINS["A"]]
+_FIXED_QUOTIENT = _FIXED_COEFFS[:3] + [_apply(("/", TWINS["d"], (S.P + 1, SYMS["p"] + 1)))] + _FIXED_COEFFS[4:]
+
+
 @pytest.mark.parametrize("scale", sorted(_SCALES))
-@pytest.mark.parametrize("offset", sorted(_OFFSETS))
+@pytest.mark.parametrize("offset", sorted(_ALL_OFFSETS))
 def test_compose_affine_matches_sympy_on_every_scale_and_offset(scale, offset):
-    # degree 4 with a zero and a Laurent coefficient, so every loop bound and
-    # the order of shift and scaling show
-    coeffs = [TWINS["p"], _const(Fraction(-3, 2)), _const(Fraction(0)), TWINS["1/q"], TWINS["A"]]
-    _assert_compose_affine_matches_sympy(coeffs, _SCALES[scale], _OFFSETS[offset])
-    _assert_compose_affine_matches_sympy([], _SCALES[scale], _OFFSETS[offset])
+    for coeffs in (_FIXED_COEFFS, _FIXED_QUOTIENT, []):
+        _assert_compose_affine_matches_sympy(coeffs, _SCALES[scale], _ALL_OFFSETS[offset])
+
+
+# single-term steps only: dividing a random degree-8 shift by p + A - 1/q
+# goes through a Scalar gcd that can run for minutes
+_STEPS = ["d", "-d", "3/2*q^-1", "-p*d^2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COEFF_LISTS, st.sampled_from(_STEPS).map(_OFFSETS.get))
+def test_difference_matches_sympy(coeffs, step):
+    _assert_difference_matches_sympy(coeffs, step)
+
+
+@pytest.mark.parametrize("step", sorted(k for k in _ALL_OFFSETS if k != "0"))
+def test_difference_matches_sympy_on_every_step(step):
+    for coeffs in (_FIXED_COEFFS, _FIXED_QUOTIENT, [], _FIXED_COEFFS[:1]):
+        _assert_difference_matches_sympy(coeffs, _ALL_OFFSETS[step])
