@@ -116,17 +116,9 @@ def _run_statement(args, kind: str) -> dict:
     """Parse the subcommand's expression words as one statement and run it."""
     rel = _relation_from(args)
     bindings = par.parse_bindings(args.params or "")
-    text = " ".join(args.expr)
-    # error columns count from the start of the expression; verify splits at
-    # '==' and counts each side from its own start, after one blank
-    if kind == "verify":
-        body = " " + text.rstrip()
-        left, sep, right = body.partition("==")
-        if not sep:
-            raise par.ParseError("verify needs '=='", 1, len(body), {"=="})
-        stmt = par.Statement("verify", (par.parse(left), par.parse(right)))
-    else:
-        stmt = par.Statement(kind, (par.parse(text),))
+    text = " ".join(args.expr).rstrip()
+    # error columns count from the start of the expression
+    stmt = par._parse_verify(text, 1, 1) if kind == "verify" else par.Statement(kind, (par.parse(text),))
     return par.run_statement(stmt, rel, bindings)
 
 

@@ -448,27 +448,6 @@ class FockMatrix:
         ]
 
 
-def _apply_word_to_basis(word: str, rep: FockRep, n: int):
-    """(coefficient, level) after applying the word to |n>; None when killed."""
-    coeff = one
-    level = n
-    for ch in reversed(word):
-        if ch == "b":
-            level += 1
-            if level > rep.L:
-                return None
-        elif ch == "a":
-            if level == 0:
-                return None
-            coeff = coeff * rep.s(level)
-            if not coeff:
-                return None
-            level -= 1
-        else:
-            raise ParameterMismatchError("Fock words use a and b only")
-    return coeff, level
-
-
 def _a_levels(word: str, n: int):
     """Levels k at which the word's a's act on |n> (each contributes s_k); None when killed."""
     levels = []
@@ -551,15 +530,20 @@ def fock_words_equal(rel: Relation, w1: str, w2: str):
 
 
 def fock_word_matrix(word: str, rep: FockRep) -> FockMatrix:
-    """Direct letter-by-letter application; independent of the engine."""
+    """Direct letter-by-letter application; independent of the engine.
+
+    The word sends |n> to prod_(k in S(n)) s_k |n + #b - #a>, S(n) the levels
+    its a's act at.  A level above L either meets an a, where s is zero, or
+    ends above L, so dropping the rows above L truncates as the letters do.
+    """
     if len(word) + 2 > rep.L:
         raise TruncationError("word of length %d needs L >= %d" % (len(word), len(word) + 2))
+    shift = word.count("b") - word.count("a")
     out: dict = {}
     for n in range(rep.L + 1):
-        hit = _apply_word_to_basis(word, rep, n)
-        if hit is not None:
-            coeff, level = hit
-            out[(level, n)] = out.get((level, n), zero) + coeff
+        levels = _a_levels(word, n)
+        if levels is not None and n + shift <= rep.L:
+            out[(n + shift, n)] = math.prod(map(rep.s, levels), start=one)
     return FockMatrix(out, rep.L, len(word))
 
 

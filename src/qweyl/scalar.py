@@ -471,6 +471,18 @@ def join_signed(terms) -> str:
     return "".join(pieces) or "0"
 
 
+def signed_term(c: "Scalar", mono: str) -> tuple[bool, str]:
+    """The (negative, magnitude text) pair of the term c*mono for ``join_signed``.
+
+    An empty ``mono`` is a constant term; a coefficient of magnitude 1 is left out.
+    """
+    negative = c.is_negative_term()
+    ct = (-c if negative else c).compact()
+    if not mono:
+        return negative, ct
+    return negative, mono if ct == "1" else "%s*%s" % (ct, mono)
+
+
 def _mp_text(f: dict) -> str:
     """Terms in descending graded-lex order: ``q^2 + q + 1``, ``-p + 1``."""
     terms = []
@@ -978,25 +990,9 @@ class Poly1:
         terms = []
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            negative = c.is_negative_term()
-            if negative:
-                c = -c
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = self.var
-            else:
-                mono = "%s^%d" % (self.var, e)
-            ct = c.compact()
-            if mono and ct == "1":
-                piece = mono
-            elif mono:
-                piece = "%s*%s" % (ct, mono)
-            else:
-                piece = ct
-            terms.append((negative, piece))
+            if c:
+                mono = "" if e == 0 else self.var if e == 1 else "%s^%d" % (self.var, e)
+                terms.append(signed_term(c, mono))
         return join_signed(terms)
 
     def __repr__(self):

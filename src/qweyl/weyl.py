@@ -11,13 +11,16 @@ together with the shift rules
 
     a*g(N) = g(tau*N + 1)*a        g(N)*b = b*g(tau*N + 1).
 
-Reordering a^j b^i is driven by the recurrence
+Reordering a^j b^i starts from the recurrence
 
     a b^i = sigma * b * (a b^(i-1)) + b^(i-1) * F(tau^(i-1) N + {i-1})
 
-(with F replaced by the central rho in the N-free case), memoized per
-relation because identity checks reuse the same (j, i) pairs thousands of
-times.  The memo tables fill on first use and grow until
+(with F replaced by the central rho in the N-free case).  Each further a
+runs through the product path: a^j b^i = a * (a^(j-1) b^i) moves a past
+every term b^alpha N^mu a^beta of a^(j-1) b^i with ``_mid_product(0, 1,
+alpha, mu)``, the same step that multiplies normal forms.  All of it is
+memoized per relation because identity checks reuse the same (j, i) pairs
+thousands of times.  The memo tables fill on first use and grow until
 ``Relation.clear_caches``; a relation's defining data never change, so an
 entry never goes stale.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels as _k
-from .scalar import P, Q, Poly1, Scalar, join_signed, one, zero
+from .scalar import P, Q, Poly1, Scalar, join_signed, one, signed_term, zero
 
 __all__ = [
     "Relation",
@@ -192,12 +195,12 @@ class Relation:
                 table.append(got)
         return table[n]
 
-    def _shiftpow(self, m: int, t: int) -> Poly1:
-        """(tau^t N + {t})^m, the result of moving N^m across t letters."""
+    def _shiftpow(self, m: int, t: int) -> dict:
+        """Term map of (tau^t N + {t})^m, the result of moving N^m across t letters."""
         got = self._shift_pow.get((m, t))
         if got is None:
-            got = Poly1([zero] * m + [one], "N").compose_affine(self.tau**t, self.tau_number(t))
-            self._shift_pow[(m, t)] = got
+            poly = Poly1([zero] * m + [one], "N").compose_affine(self.tau**t, self.tau_number(t))
+            got = self._shift_pow[(m, t)] = {_key(0, e, 0): c for e, c in enumerate(poly.coeffs) if c}
         return got
 
     def _fshift(self, t: int) -> Poly1:
@@ -224,16 +227,10 @@ class Relation:
         return got
 
     def _r1_step(self, prev: dict, i: int) -> dict:
-        """a * b^i from prev = a * b^(i-1)."""
-        sigma = self.sigma
-        out = {k + (1 << 40): sigma * c for k, c in prev.items()} if sigma else {}
-        base = (i - 1) << 40
-        if self.has_N:
-            for m, c in enumerate(self._fshift(i - 1).coeffs):
-                _acc(out, base | (m << 20), c)
-        else:
-            _acc(out, base, self.rho)
-        return out
+        """a * b^i = sigma * b * (a * b^(i-1)) + the remainder at b^(i-1)."""
+        coeffs = self._fshift(i - 1).coeffs if self.has_N else [self.rho]
+        rem = {_key(i - 1, m, 0): c for m, c in enumerate(coeffs) if c}
+        return _k.mpoly_add(_k.axpy_shift({}, prev, _key(1, 0, 0), self.sigma), rem)
 
     def _R(self, j: int, i: int) -> dict:
         """Term map of a^j * b^i, memoized per (j, i)."""
@@ -256,20 +253,11 @@ class Relation:
         return got
 
     def _r_step(self, prev: dict) -> dict:
-        """a^j * b^i from prev = a^(j-1) * b^i."""
+        """a^j * b^i = a * (a^(j-1) * b^i), from prev = a^(j-1) * b^i."""
         out: dict = {}
         for k, c in prev.items():
             alpha, mu, beta = _ikey(k)
-            for k2, c2 in self._R1(alpha).items():
-                g, nu, e = _ikey(k2)
-                cc = c * c2
-                if mu == 0 or e == 0:
-                    # plain merge: a^e slides under N^mu only when e > 0
-                    _acc(out, _key(g, nu + mu, e + beta), cc)
-                else:
-                    for m2, c3 in enumerate(self._shiftpow(mu, e).coeffs):
-                        if c3:
-                            _acc(out, _key(g, nu + m2, e + beta), cc * c3)
+            _k.axpy_shift(out, self._mid_product(0, 1, alpha, mu), beta, c)
         return out
 
     def _mid_product(self, m1: int, j1: int, i2: int, m2: int) -> dict:
@@ -279,37 +267,23 @@ class Relation:
         key = (m1, j1, i2, m2)
         got = self._mid.get(key)
         if got is None:
-            out: dict = {}
+            # N^m1 crosses b^alpha and N^m2 crosses a^beta; N-polynomials
+            # commute, so a term's own N^mu is part of its key offset
+            got = {}
             for k, c in self._R(j1, i2).items():
-                alpha, mu, beta = _ikey(k)
-                npoly = Poly1([zero] * mu + [one], "N")
-                if m1:
-                    npoly = npoly * self._shiftpow(m1, alpha)
-                if m2:
-                    npoly = npoly * self._shiftpow(m2, beta)
-                for m, c2 in enumerate(npoly.coeffs):
-                    if c2:
-                        _acc(out, _key(alpha, m, beta), c * c2)
-            self._mid[key] = out
-            got = out
+                if not m2:
+                    npoly = self._shiftpow(m1, k >> 40)
+                elif not m1:
+                    npoly = self._shiftpow(m2, k & _MASK)
+                else:
+                    npoly = _k.mpoly_mul(self._shiftpow(m1, k >> 40), self._shiftpow(m2, k & _MASK), _KEY0)
+                _k.axpy_shift(got, npoly, k, c)
+            self._mid[key] = got
         return got
 
     def clear_caches(self) -> None:
         for d in (self._r1, self._r, self._mid, self._shift_pow, self._f_shift, self._tau_num):
             d.clear()
-
-
-def _acc(out: dict, key: int, c: Scalar) -> None:
-    got = out.get(key)
-    if got is None:
-        if c:
-            out[key] = c
-    else:
-        s = got + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
 
 
 def _check_key_range(x: "NormalForm", y: "NormalForm") -> None:
@@ -480,22 +454,8 @@ class NormalForm:
 
     def render(self) -> str:
         """Canonical text: terms by (i, m, j) descending, e.g. ``q*b*a + p``."""
-        terms = []
-        for k in sorted(self.terms, key=_ikey, reverse=True):
-            c = self.terms[k]
-            mono = _mono_text(*_ikey(k))
-            negative = c.is_negative_term()
-            if negative:
-                c = -c
-            ct = c.compact()
-            if not mono:
-                text = ct
-            elif ct == "1":
-                text = mono
-            else:
-                text = "%s*%s" % (ct, mono)
-            terms.append((negative, text))
-        return join_signed(terms)
+        terms = self.terms
+        return join_signed(signed_term(terms[k], _mono_text(*_ikey(k))) for k in sorted(terms, key=_ikey, reverse=True))
 
     def __repr__(self):
         return "NormalForm(%s)" % self.render()

@@ -291,6 +291,21 @@ def test_cli_parse_error_exit_2():
     assert "column 3" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("a^^2 == b", 3),
+        ("b == a^^2", 8),
+        ("a*b", 3),  # no '==': the expression's last character
+        ("a*b  ", 3),
+    ],
+)
+def test_cli_verify_errors_name_expression_columns(capsys, text, col):
+    rc, out, err = cli_main(capsys, "verify", text)
+    assert rc == 2 and not out
+    assert err.rstrip().endswith("at line 1, column %d" % col)
+
+
 def test_cli_usage_error_exit_2():
     r = run_cli("frobnicate")
     assert r.returncode == 2

@@ -1,5 +1,6 @@
 """Normal-form engine tests: reordering, products, grading, confluence."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -220,6 +221,28 @@ def test_confluence_extended_words():
         assert nf_terms(ext.word(word)) == left, word
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: extended(sigma=Fraction(2, 3), F=Poly1([1, 2, 1]), tau=Fraction(3, 2)),
+        lambda: extended(F=Poly1([0, 0, 1])),
+        lambda: heisenberg(Q, 0),
+        lambda: heisenberg(0, 1),
+    ],
+    ids=["extended-rational", "extended-N^2", "sigma=q,rho=0", "sigma=0,rho=1"],
+)
+def test_mid_product_against_naive_reducer(make):
+    # N^m1 a^j times b^i N^m2 is one _mid_product(m1, j, i, m2); its _R(j, i)
+    # fill moves each a through _mid_product(0, 1, alpha, mu) in turn
+    rel = make()
+    ms = range(3) if rel.has_N else [0]
+    for m1, j, i, m2 in itertools.product(ms, range(4), range(4), ms):
+        x = NormalForm(rel, {_key(0, m1, j): one})
+        y = NormalForm(rel, {_key(i, m2, 0): one})
+        want = reduce_word("N" * m1 + "a" * j + "b" * i + "N" * m2, rel)
+        assert nf_terms(x * y) == want, (m1, j, i, m2)
+
+
 @pytest.mark.parametrize("j", range(7))
 @pytest.mark.parametrize("i", range(7))
 def test_ab_power_ordering_closed_form(rel, i, j):
@@ -324,12 +347,22 @@ def test_concurrent_memo_fill_is_idempotent():
         assert got == fresh[word]
 
 
-@pytest.mark.parametrize("make", [lambda: heisenberg(0, 1), lambda: extended(sigma=0)], ids=["central", "extended"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: heisenberg(0, 1), lambda: extended(sigma=0), lambda: extended(sigma=0, F=Poly1([1, 2, 1]))],
+    ids=["central", "extended", "extended-F(N)"],
+)
 def test_memo_tables_hold_no_zero_terms_at_sigma_zero(make):
     # with sigma = 0 every sigma * (a b^(i-1)) term vanishes; none may stay in a table
     rel = make()
     assert rel.gen("a") ** 3 * rel.gen("b") ** 4 == rel.word("aaabbbb")
-    for table in (rel._r1, rel._r):
+    tables = [rel._r1, rel._r]
+    if rel.has_N:
+        # N on both sides of a^j b^i fills _mid, and so does a remainder in N
+        n = rel.gen("N")
+        assert n * rel.gen("a") ** 3 * (rel.gen("b") ** 4 * n) == rel.word("NaaabbbbN")
+        tables.append(rel._mid)
+    for table in tables:
         assert table and all(all(terms.values()) for terms in table.values())
 
 
