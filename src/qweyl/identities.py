@@ -30,8 +30,9 @@ residual coefficient is divisible by (rho - 1) the report highlights that
 common factor (found by an exact division probe, not by factorization).
 
 THM1a/b, COR1, COR2a/b, THM2a/b/c and COR3 are word identities w1 == w2 (a
-commutator [U, V] == 0 reads U V == V U); ``word_pair`` gives the two words
-from the catalog entry.  ``verify`` first asks ``reps.fock_words_equal``,
+commutator [U, V] == 0 reads U V == V U).  Their catalog entries state only
+the two words: ``word_pair`` returns them, and ``build`` normal-orders each
+word letter by letter.  ``verify`` first asks ``reps.fock_words_equal``,
 which decides them in the faithful Fock representation under a central
 relation with rho != 0, equal letter counts and sigma either a non-constant
 single term or a rational constant with [1]_sigma .. [#a]_sigma nonzero.  A
@@ -54,7 +55,7 @@ from typing import NamedTuple
 from .reps import fock_matrix, fock_words_equal, hq_fock
 from .scalar import A, Poly1, Scalar, ScalarError, one, zero
 from .verdict import Verdict
-from .weyl import NormalForm, Relation, commutator, extended, hq
+from .weyl import NormalForm, Relation, extended, hq
 
 __all__ = [
     "UnsupportedCaseError",
@@ -145,49 +146,34 @@ def _need_invertible(sigma: Scalar) -> None:
         raise UnsupportedCaseError("this identity needs an invertible sigma")
 
 
-# --- builders: (case, relation) -> (lhs, rhs) ------------------------------------------
+# --- builders: (case, relation) -> (lhs, rhs), or the words (w1, w2) --------------------
 
 
 def _commuting(words):
-    """Builder and word pair for [product of left words, product of right words] == 0.
+    """Word pair for [product of left words, product of right words] == 0.
 
     ``words(case)`` returns the left and the right list of words; as a word
     identity the commutator reads U V == V U.
     """
 
-    def build_case(case, rel):
-        left, right = (_product(rel, side) for side in words(case))
-        return commutator(left, right), rel.scalar_nf(0)
-
     def word_pair(case, rel):
         u, v = ("".join(side) for side in words(case))
         return u + v, v + u
 
-    return build_case, word_pair
+    return word_pair
 
 
 def _collapse(sides):
-    """Builder and word pair for base^n == word.
+    """Word pair for base^n == word.
 
     ``sides(case, rel)`` returns the base word and the right-hand word.
     """
-
-    def build_case(case, rel):
-        base, rhs = sides(case, rel)
-        return rel.word(base) ** case.n, rel.word(rhs)
 
     def word_pair(case, rel):
         base, rhs = sides(case, rel)
         return base * case.n, rhs
 
-    return build_case, word_pair
-
-
-def _product(rel: Relation, words) -> NormalForm:
-    out = rel.unit()
-    for w in words:
-        out = out * rel.word(w)
-    return out
+    return word_pair
 
 
 def _cor3_words(case):
@@ -250,27 +236,27 @@ def _eq14(case, rel):
 class _Entry(NamedTuple):
     args: tuple  # argument names IdentityCase.args() reports, in report key order
     relation: str  # the relation it needs: "central", "extended" or "any"
-    build: object  # (case, relation) -> (lhs, rhs); None where verify solves for factors
+    build: object = None  # (case, relation) -> (lhs, rhs); None for a word identity and for LEM3
     words: object = None  # (case, relation) -> (w1, w2) for a word identity w1 == w2, else None
 
 
 _CATALOG = {
-    "THM1a": _Entry(("n",), "any", *_collapse(_thm1)),
-    "THM1b": _Entry(("n",), "any", *_collapse(_thm1)),
-    "COR1": _Entry(("n", "k"), "any", *_collapse(lambda c, rel: ("ab" * c.k + "a", _t_word(c.n, c.k)))),
-    "COR2a": _Entry(("n", "m", "k"), "any", *_commuting(lambda c: ([_t_word(c.n, c.k)], [_t_word(c.m, c.k)]))),
-    "COR2b": _Entry(("ns", "ms", "k"), "any", *_commuting(lambda c: [[_t_word(t, c.k) for t in ts] for ts in (c.ns, c.ms)])),
-    "THM2a": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ab", c.n)], [_block("ab", c.m)]))),
-    "THM2b": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ab", c.n)], [_block("ba", c.m)]))),
-    "THM2c": _Entry(("n", "m"), "any", *_commuting(lambda c: ([_block("ba", c.n)], [_block("ba", c.m)]))),
-    "COR3": _Entry(("ns", "ms", "orders"), "any", *_commuting(_cor3_words)),
+    "THM1a": _Entry(("n",), "any", words=_collapse(_thm1)),
+    "THM1b": _Entry(("n",), "any", words=_collapse(_thm1)),
+    "COR1": _Entry(("n", "k"), "any", words=_collapse(lambda c, rel: ("ab" * c.k + "a", _t_word(c.n, c.k)))),
+    "COR2a": _Entry(("n", "m", "k"), "any", words=_commuting(lambda c: ([_t_word(c.n, c.k)], [_t_word(c.m, c.k)]))),
+    "COR2b": _Entry(("ns", "ms", "k"), "any", words=_commuting(lambda c: [[_t_word(t, c.k) for t in ts] for ts in (c.ns, c.ms)])),
+    "THM2a": _Entry(("n", "m"), "any", words=_commuting(lambda c: ([_block("ab", c.n)], [_block("ab", c.m)]))),
+    "THM2b": _Entry(("n", "m"), "any", words=_commuting(lambda c: ([_block("ab", c.n)], [_block("ba", c.m)]))),
+    "THM2c": _Entry(("n", "m"), "any", words=_commuting(lambda c: ([_block("ba", c.n)], [_block("ba", c.m)]))),
+    "COR3": _Entry(("ns", "ms", "orders"), "any", words=_commuting(_cor3_words)),
     "LEM1a": _Entry(("n",), "central", _lem1),
     "LEM1b": _Entry(("n",), "central", _lem1),
     "THM4a": _Entry(("n",), "central", _thm4),
     "THM4b": _Entry(("n",), "central", _thm4),
     "THM5": _Entry(("n",), "central", _ladder),
     "THM6": _Entry(("n",), "extended", _ladder),
-    "LEM3": _Entry(("alpha",), "central", None),
+    "LEM3": _Entry(("alpha",), "central"),
     "EQ14": _Entry(("poly",), "central", _eq14),
 }
 CATALOG_IDS = tuple(_CATALOG)
@@ -289,14 +275,21 @@ def _checked_entry(case: IdentityCase) -> _Entry:
         raise UnsupportedCaseError("%s is defined for the central-remainder relation" % case.id)
     if entry.relation == "extended" and not rel.has_N:
         raise UnsupportedCaseError("%s needs the extended relation" % case.id)
-    if entry.build is None:
+    if entry.build is None and entry.words is None:
         raise UnsupportedCaseError("%s is checked by solving for factors, not as LHS == RHS" % case.id)
     return entry
 
 
 def build(case: IdentityCase):
-    """Both sides of the identity as normal forms."""
-    return _checked_entry(case).build(case, case.relation)
+    """Both sides of the identity as normal forms.
+
+    A word identity's two sides are its two words, each normal-ordered letter
+    by letter.
+    """
+    entry, rel = _checked_entry(case), case.relation
+    if entry.words is not None:
+        return tuple(map(rel.word, entry.words(case, rel)))
+    return entry.build(case, rel)
 
 
 def word_pair(case: IdentityCase):

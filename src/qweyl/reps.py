@@ -601,10 +601,6 @@ def _ladder(T, constants):
     return op_compose(T, *(op_sub(T, op_scale(c, _op_id)) for c in constants))
 
 
-def _windowed_zero(mat: FockMatrix) -> bool:
-    return all(not mat.column(c) for c in range(mat.window + 1))
-
-
 def eq1_first_check(n: int, K: int | None = None) -> Verdict:
     """(x^2 d/dx - n x)^(n+1) = x^(2n+2) (d/dx)^(n+1)."""
     rep = diff_ab()
@@ -724,42 +720,43 @@ def eq22_constant(n: int, K: int | None = None):
     return verdict, c, matches_printed
 
 
+def _catalog_word_pairs(cases):
+    """The ``word_pair`` of each (catalog id, case arguments) entry."""
+    # imported here: identities imports this module at load time
+    from .identities import IdentityCase, word_pair
+
+    rel = hq()
+    return [word_pair(IdentityCase(cid, rel, **args)) for cid, args in cases]
+
+
+def _differing_pairs(pairs, rep: FockRep) -> list:
+    """The word pairs (w1, w2) whose Fock matrices differ on the safe window."""
+    return [(w1, w2) for w1, w2 in pairs if not fock_word_matrix(w1, rep).windowed_equal(fock_word_matrix(w2, rep))]
+
+
 def fock_theorem3_spotcheck(seed: int = 0, L: int = 14, trials: int = 5) -> Verdict:
     """Ordering identities hold in random diagonal representations.
 
-    For exact random sequences: (aba)^2 = a^2 b^2 a^2, the 2k+1-block
-    collapse for n, k <= 2, and [b^n a^n, b^m a^m] = 0 for n, m <= 3, all on
-    the safe window.
+    For exact random sequences: THM1a at n = 2, COR1 for n, k <= 2, and
+    THM2c [b^n a^n, b^m a^m] = 0 for n, m <= 3, all on the safe window.
     """
+    pairs = _catalog_word_pairs(
+        [("THM1a", {"n": 2})]
+        + [("COR1", {"n": n, "k": k}) for n in (1, 2) for k in (1, 2)]
+        + [("THM2c", {"n": n, "m": m}) for n in (1, 2, 3) for m in (n, 2, 3)]
+    )
     rng = random.Random(seed)
     bad = []
     for trial in range(trials):
         seq = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(L)]
-        rep = FockRep(seq, L)
-        aba = fock_word_matrix("aba", rep)
-        if not (aba @ aba).windowed_equal(fock_word_matrix("aabbaa", rep)):
-            bad.append((trial, "aba^2"))
-        for n in (1, 2):
-            for k in (1, 2):
-                block = fock_word_matrix("ab" * k + "a", rep)
-                full = fock_word_matrix("a" * n + ("b" * n + "a" * n) * k, rep)
-                got = block
-                for _ in range(n - 1):
-                    got = got @ block
-                if not got.windowed_equal(full):
-                    bad.append((trial, "blocks n=%d k=%d" % (n, k)))
-        for n in (1, 2, 3):
-            for m in (n, 2, 3):
-                x = fock_word_matrix("b" * n + "a" * n, rep)
-                y = fock_word_matrix("b" * m + "a" * m, rep)
-                if not _windowed_zero(x @ y - y @ x):
-                    bad.append((trial, "commute n=%d m=%d" % (n, m)))
+        bad += [(trial, pair) for pair in _differing_pairs(pairs, FockRep(seq, L))]
     return Verdict("pass" if not bad else "fail", bad or None)
 
 
 def fock_affine_spotcheck(seed: int = 0, L: int = 14) -> Verdict:
-    """For a sequence certified against an affine map, the mixed commutator
+    """For a sequence certified against an affine map, THM2b's mixed commutator
     [a^n b^n, b^m a^m] also vanishes on the window."""
+    pairs = _catalog_word_pairs([("THM2b", {"n": n, "m": m}) for n in (1, 2) for m in (1, 2, 3)])
     rng = random.Random(seed)
     bad = []
     for _ in range(3):
@@ -770,12 +767,7 @@ def fock_affine_spotcheck(seed: int = 0, L: int = 14) -> Verdict:
         if any(sequence_residual(f, rep)):
             bad.append("residuals nonzero")
             continue
-        for n in (1, 2):
-            for m in (1, 2, 3):
-                x = fock_word_matrix("a" * n + "b" * n, rep)
-                y = fock_word_matrix("b" * m + "a" * m, rep)
-                if not _windowed_zero(x @ y - y @ x):
-                    bad.append("mixed n=%d m=%d" % (n, m))
+        bad += _differing_pairs(pairs, rep)
     return Verdict("pass" if not bad else "fail", bad or None)
 
 

@@ -709,10 +709,8 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(
-            (frozenset((k, _coeff_norm(v)) for k, v in self.num.items()),
-             frozenset((k, _coeff_norm(v)) for k, v in self.den.items()))
-        )
+        # hash(Fraction(n, 1)) == hash(n), so a coefficient stored either way hashes alike
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- substitution --------------------------------------------------------
 

@@ -89,7 +89,6 @@ class Relation:
         "_r",
         "_mid",
         "_shift_pow",
-        "_f_shift",
         "_tau_num",
     )
 
@@ -110,7 +109,6 @@ class Relation:
         self._r: dict = {}
         self._mid: dict = {}
         self._shift_pow: dict = {}
-        self._f_shift: dict = {}
         self._tau_num: list = []
 
     # -- identity of the defining data, independent of cache state ----------
@@ -197,18 +195,12 @@ class Relation:
 
     def _shiftpow(self, m: int, t: int) -> dict:
         """Term map of (tau^t N + {t})^m, the result of moving N^m across t letters."""
+        if m == 0:
+            return {_KEY0: one}
         got = self._shift_pow.get((m, t))
         if got is None:
             poly = Poly1([zero] * m + [one], "N").compose_affine(self.tau**t, self.tau_number(t))
             got = self._shift_pow[(m, t)] = {_key(0, e, 0): c for e, c in enumerate(poly.coeffs) if c}
-        return got
-
-    def _fshift(self, t: int) -> Poly1:
-        """F(tau^t N + {t}): the remainder after crossing b^t."""
-        got = self._f_shift.get(t)
-        if got is None:
-            got = self.F.compose_affine(self.tau**t, self.tau_number(t))
-            self._f_shift[t] = got
         return got
 
     def _R1(self, i: int) -> dict:
@@ -227,10 +219,11 @@ class Relation:
         return got
 
     def _r1_step(self, prev: dict, i: int) -> dict:
-        """a * b^i = sigma * b * (a * b^(i-1)) + the remainder at b^(i-1)."""
-        coeffs = self._fshift(i - 1).coeffs if self.has_N else [self.rho]
-        rem = {_key(i - 1, m, 0): c for m, c in enumerate(coeffs) if c}
-        return _k.mpoly_add(_k.axpy_shift({}, prev, _key(1, 0, 0), self.sigma), rem)
+        """a * b^i = sigma * b * (a * b^(i-1)) + b^(i-1) * F(tau^(i-1) N + {i-1})."""
+        out = _k.axpy_shift({}, prev, _key(1, 0, 0), self.sigma)
+        for m, c in enumerate(self.F.coeffs if self.has_N else [self.rho]):
+            _k.axpy_shift(out, self._shiftpow(m, i - 1), _key(i - 1, 0, 0), c)
+        return out
 
     def _R(self, j: int, i: int) -> dict:
         """Term map of a^j * b^i, memoized per (j, i)."""
@@ -282,7 +275,7 @@ class Relation:
         return got
 
     def clear_caches(self) -> None:
-        for d in (self._r1, self._r, self._mid, self._shift_pow, self._f_shift, self._tau_num):
+        for d in (self._r1, self._r, self._mid, self._shift_pow, self._tau_num):
             d.clear()
 
 

@@ -12,12 +12,17 @@ an oracle for ``Relation._R`` that involves no recurrence on words at all.
 ``thm4a_matrix_residual`` and ``ab_power_sum_matrix`` build Fock matrices
 from products of the letter matrices alone, so they never touch the
 reordering engine.
+
+``word_identity_residual`` states the catalog's word identities on its own,
+as powers and products of normal forms, where the catalog states them as
+two words that the engine normal-orders letter by letter.
 """
 
 from fractions import Fraction
 
 from qweyl.reps import FockMatrix, fock_word_matrix, hq_fock
 from qweyl.scalar import P, Q, one, zero
+from qweyl.weyl import commutator
 
 _RANK = {"b": 0, "N": 1, "a": 2}
 
@@ -165,3 +170,46 @@ def ab_power_sum_matrix(coeffs, rep, letters):
             acc = acc @ mab
         total = total + acc.scale(c)
     return total
+
+
+def _t_word(n, k):
+    """The 2k+1-block word a^n (b^n a^n)^k."""
+    return "a" * n + ("b" * n + "a" * n) * k
+
+
+def _block(order, t):
+    return order[0] * t + order[1] * t
+
+
+def _product(rel, words):
+    out = rel.unit()
+    for w in words:
+        out = out * rel.word(w)
+    return out
+
+
+def word_identity_residual(case):
+    """lhs - rhs of a catalog word identity, built from powers and products.
+
+    A collapse base^n == word takes ``rel.word(base) ** n``; a commuting family
+    [U, V] == 0 takes the commutator of its left and right word products.
+    """
+    rel, cid, n, m, k = case.relation, case.id, case.n, case.m, case.k
+    if cid in ("THM1a", "THM1b"):
+        x, y = "ab" if cid == "THM1a" else "ba"
+        return rel.word(x + y + x) ** n - rel.word(x * n + y * n + x * n)
+    if cid == "COR1":
+        return rel.word("ab" * k + "a") ** n - rel.word(_t_word(n, k))
+    if cid == "COR3":
+        orders = case.orders or ("ab",) * (len(case.ns) + len(case.ms))
+        words = [_block(order, t) for t, order in zip(tuple(case.ns) + tuple(case.ms), orders)]
+        left, right = words[: len(case.ns)], words[len(case.ns) :]
+    else:
+        left, right = {
+            "COR2a": ([_t_word(n, k)], [_t_word(m, k)]),
+            "COR2b": ([_t_word(t, k) for t in case.ns], [_t_word(t, k) for t in case.ms]),
+            "THM2a": ([_block("ab", n)], [_block("ab", m)]),
+            "THM2b": ([_block("ab", n)], [_block("ba", m)]),
+            "THM2c": ([_block("ba", n)], [_block("ba", m)]),
+        }[cid]
+    return commutator(_product(rel, left), _product(rel, right))

@@ -24,7 +24,7 @@ from qweyl.identities import (
 )
 from qweyl.scalar import A, P, Poly1, Q, Scalar, ScalarError, one, zero
 
-from oracles import ab_power_sum_matrix, random_rational, thm4a_matrix_residual
+from oracles import ab_power_sum_matrix, random_rational, thm4a_matrix_residual, word_identity_residual
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,59 @@ def test_build_rejects_mismatched_relation():
         verify(IdentityCase("THM1b", W.hq(q=0), n=2))
     with pytest.raises(UnsupportedCaseError):  # LEM3 is solved for factors by verify
         build(IdentityCase("LEM3", W.hq(), n=-1))
+
+
+def _word_identity_cases(rel):
+    """Small cases of every word identity in the catalog."""
+    cases = [IdentityCase(cid, rel, n=n) for cid in ("THM1a", "THM1b") for n in (1, 2, 3, 4)]
+    cases += [IdentityCase("COR1", rel, n=n, k=k) for n in (1, 2, 3) for k in (1, 2)]
+    cases += [IdentityCase("COR2a", rel, n=n, m=2, k=k) for n, k in ((1, 1), (2, 1), (1, 2))]
+    cases += [IdentityCase("COR2b", rel, ns=(1, 2), ms=ms, k=1) for ms in ((1,), (2,))]
+    cases += [IdentityCase(cid, rel, n=n, m=m) for cid in ("THM2a", "THM2b", "THM2c") for n in (1, 2) for m in (2, 3)]
+    cases += [IdentityCase("COR3", rel, ns=(1,), ms=(1, 2), orders=o) for o in I._order_assignments(3)]
+    return cases
+
+
+def test_word_identity_cases_cover_every_word_identity():
+    ids = {c.id for c in _word_identity_cases(W.hq())}
+    assert ids == {cid for cid in I.CATALOG_IDS if I._entry(cid).words is not None}
+
+
+# the last four are word identities the Fock decision leaves to the engine
+@pytest.mark.parametrize(
+    "relation",
+    [
+        W.hq(),
+        W.extended(),
+        W.extended(F=Poly1([P, Q, one], "N")),
+        W.heisenberg(one + Q, P),
+        W.hq(q=-1),
+        W.hq(p=0),
+    ],
+    ids=["hq", "extended", "extended-F2", "multi-term-sigma", "q=-1", "p=0"],
+)
+def test_build_of_a_word_identity_matches_powers_and_products(relation):
+    for case in _word_identity_cases(relation):
+        lhs, rhs = build(case)
+        assert lhs - rhs == word_identity_residual(case), (case.id, case.args())
+        assert (lhs, rhs) == tuple(map(relation.word, I.word_pair(case)))
+
+
+def test_build_of_a_word_identity_multiplies_by_one_letter_at_a_time(monkeypatch):
+    rel = W.hq()
+    right = []
+    mul = W.NormalForm.__mul__
+
+    def counting_mul(self, other):
+        right.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(W.NormalForm, "__mul__", counting_mul)
+    for case in _word_identity_cases(rel):
+        build(case)
+    assert right
+    letters = [rel.gen("a").terms, rel.gen("b").terms]
+    assert all(isinstance(x, W.NormalForm) and x.terms in letters for x in right)
 
 
 # --- the always-true families ---------------------------------------------------------

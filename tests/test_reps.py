@@ -345,6 +345,12 @@ def test_affine_certified_sequences():
     assert R.fock_affine_spotcheck(seed=3).passed
 
 
+def test_spot_check_reports_the_word_pairs_that_differ():
+    rep = FockRep([Fraction(t, 3) for t in range(2, 16)])
+    pairs = [("abaaba", "aabbaa"), ("ab", "ba"), ("abba", "baab"), ("aabb", "abab")]
+    assert R._differing_pairs(pairs, rep) == [("ab", "ba"), ("aabb", "abab")]
+
+
 def test_fock_vs_abstract_random_words():
     assert fock_vs_abstract_spotcheck(seed=11, L=12, words=50).passed
 
@@ -458,6 +464,7 @@ def test_fock_words_equal_needs_equal_letter_counts():
 
 
 def test_fock_words_equal_beyond_the_engine():
+    # the engine's build of this case takes about 2 s; the Fock decision, well under 1 s
     rel = W.hq()
     case = IdentityCase("COR2b", rel, ns=(4, 4), ms=(4, 4), k=2)
     t0 = time.perf_counter()

@@ -142,6 +142,17 @@ def test_rational_coefficients():
     assert x.canonical() == "(3/2*p)/(1)"
 
 
+def test_equal_scalars_hash_alike():
+    # the left sides store integer coefficients as Fraction(n, 1), the right sides as n
+    pairs = [
+        (Scalar.of(Fraction(1, 2)) * 4, Scalar.of(2)),
+        ((Q * Fraction(1, 2) + 1) / (P * Fraction(1, 3)) * 6, (9 * Q + 18) / P),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
 @pytest.mark.parametrize("value", [10**5000 - 1, Fraction(1, 7**6000)], ids=["integer", "rational"])
 def test_coefficient_too_long_to_print(value):
     # CPython refuses the decimal conversion with a message about its own API
