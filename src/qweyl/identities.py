@@ -392,7 +392,7 @@ def _bands(x: NormalForm) -> dict[int, Poly1]:
     out: dict[int, Poly1] = {}
     for (i, m, j), c in x.items():
         band = out.setdefault(j, Poly1([], "N"))
-        out[j] = band + Poly1([zero] * m + [c], "N")
+        out[j] = band + Poly1.monomial(c, m)
     return out
 
 

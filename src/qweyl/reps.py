@@ -80,22 +80,7 @@ class TruncationError(Exception):
 
 def xpow(k: int) -> Poly1:
     """The basis monomial x^k."""
-    return Poly1([zero] * k + [one], "x")
-
-
-def _diff(f: Poly1) -> Poly1:
-    return Poly1([f.coeffs[k] * k for k in range(1, len(f.coeffs))], "x")
-
-
-def _mulx(f: Poly1) -> Poly1:
-    if f.is_zero():
-        return f
-    return Poly1([zero] + f.coeffs, "x")
-
-
-def _jackson_d(f: Poly1) -> Poly1:
-    # D x^k = {k} x^(k-1), never dividing by x(1-q)
-    return Poly1([f.coeffs[k] * qnum(k) for k in range(1, len(f.coeffs))], "x")
+    return Poly1.monomial(one, k, "x")
 
 
 def _shift(f: Poly1, step: Scalar) -> Poly1:
@@ -147,20 +132,20 @@ class PolyRep:
 
 
 def diff_ab() -> PolyRep:
-    return PolyRep("diff_ab", one, one, _diff, _mulx)
+    return PolyRep("diff_ab", one, one, Poly1.derivative, Poly1.mul_x)
 
 
 def diff_ba() -> PolyRep:
-    return PolyRep("diff_ba", one, -one, _mulx, _diff)
+    return PolyRep("diff_ba", one, -one, Poly1.mul_x, Poly1.derivative)
 
 
 def jackson() -> PolyRep:
-    return PolyRep("jackson", _Q, one, _jackson_d, _mulx)
+    return PolyRep("jackson", _Q, one, Poly1.q_derivative, Poly1.mul_x)
 
 
 def delta_rep() -> PolyRep:
     """a = (shift(+d) - 1)/d, b = x*shift(-d)."""
-    return PolyRep("delta", one, one, _dplus, lambda f: _mulx(_shift(f, -_D)))
+    return PolyRep("delta", one, one, _dplus, lambda f: _shift(f, -_D).mul_x())
 
 
 def ALL_POLY_REPS() -> dict[str, PolyRep]:
@@ -295,9 +280,10 @@ def _images_factor(us, vs):
             continue
         if v.is_zero() or u.is_zero():
             return None
-        n = max(len(u.coeffs), len(v.coeffs))
-        for t in range(n):
-            cu, cv = u[t], v[t]
+        cus, cvs = u.coeffs, v.coeffs
+        for t in range(max(len(cus), len(cvs))):
+            cu = cus[t] if t < len(cus) else zero
+            cv = cvs[t] if t < len(cvs) else zero
             if cu.is_zero() and cv.is_zero():
                 continue
             if cv.is_zero():
@@ -679,7 +665,7 @@ def _engine_cross_check(verdict: Verdict, cid: str, sigma, rho, n: int) -> Verdi
 
 def eq4_check(n: int, K: int | None = None) -> Verdict:
     """prod_k [x(1 - shift(-d)) - k d] = x^((n+1)) (1 - shift(-d))^(n+1)."""
-    lhs = _ladder(lambda f: _mulx(_u_backward(f)), (_D * k for k in range(1, n + 1)))
+    lhs = _ladder(lambda f: _u_backward(f).mul_x(), (_D * k for k in range(1, n + 1)))
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_u_backward, n + 1))
     verdict = check_identity_on_basis(lhs, rhs, 4 * (n + 1) + 4 if K is None else K)
     return _engine_cross_check(verdict, "THM5", one, one, n)
@@ -703,7 +689,7 @@ def eq22_constant(n: int, K: int | None = None):
     """
     if K is None:
         K = 4 * (n + 1) + 4
-    lhs = _ladder(lambda f: _mulx(_dminus(f)), range(1, n + 1))
+    lhs = _ladder(lambda f: _dminus(f).mul_x(), range(1, n + 1))
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_dminus, n + 1))
     # each side's images serve both the constant and the verdict
     lhs_images, rhs_images = list(_images(lhs, K)), list(_images(rhs, K))

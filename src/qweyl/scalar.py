@@ -17,7 +17,10 @@ of the two term maps, so equal values always compare equal.
 
 Polynomials are dicts from a packed exponent key to an ``int`` or
 ``fractions.Fraction``; the dict arithmetic lives in the plain-Python
-kernels of ``qweyl._kernels``.
+kernels of ``qweyl._kernels``.  A key has five fields: the four variables
+above and, on top of them, X, the variable of a ``Poly1``.  X is internal:
+a ``Poly1`` is one Scalar in p, q, A, d and X whose denominator is free of
+X, and no Scalar outside ``Poly1`` ever carries it.
 """
 
 from __future__ import annotations
@@ -68,62 +71,74 @@ class NotDivisibleError(ScalarError):
 # ---------------------------------------------------------------------------
 # packed exponent keys
 #
-# Four fields, most significant first: p, q, A, d.  p, A and d exponents
+# Five fields, most significant first: X, p, q, A, d.  p, A and d exponents
 # (0.._EXP_LIMIT) need 19 bits; q (-_EXP_LIMIT.._EXP_LIMIT) is stored biased
-# by _QOFF as 1..2^20 - 1 and needs 20.  Each field has one guard bit on top,
-# clear in every key, so p, A and d take 20 bits and q takes 21 (Monagan and
-# Pearce, CASC 2007).  Adding two keys and subtracting KEY_ONE multiplies the
-# monomials; a field sum then never carries into the next field, and one out
-# of range sets its guard bit.  A biased q below 0 borrows from p, which sets
-# the q guard bit too; a biased q of exactly 0 does not, so the test also
-# looks at the key minus Q_UNIT.  So one mask test per key, _mp_checked, is
-# exact for every key formed by a product, a quotient or a q shift of
-# in-range keys.
+# by _QOFF as 1..2^20 - 1 and needs 20; X, the degree in a Poly1's variable
+# (0.._X_LIMIT), needs 20, as many as the N field of a PBW key.  Each field has
+# one guard bit on top, clear in every key, so p, A and d take 20 bits and q
+# and X take 21 (Monagan and Pearce, CASC 2007).  X sits above p, so a key
+# without X has the same value as it had before X existed.  Adding two keys
+# and subtracting KEY_ONE multiplies the monomials; a field sum then never
+# carries into the next field, and one out of range sets its guard bit.  A
+# biased q below 0 borrows from the field above, which sets the q guard bit
+# too; a biased q of exactly 0 does not, so the test also looks at the key
+# minus Q_UNIT.  So one mask test per key, _mp_checked, is exact for every
+# key formed by a product, a quotient or a q shift of in-range keys.
 
 VAR_NAMES = ("p", "q", "A", "d")
-_NVARS = 4
-_FIELD_BITS = (20, 21, 20, 20)
-_SHIFTS = (61, 40, 20, 0)  # the widths of the fields below each one, summed
+_NVARS = 5  # VAR_NAMES, then X
+_X = 4  # the index of X's field
+_FIELD_BITS = (20, 21, 20, 20, 21)
+_SHIFTS = (61, 40, 20, 0, 81)  # the widths of the fields below each one, summed
 _FIELD_MASK = (1 << min(_FIELD_BITS)) - 1  # reads any in-range field: its guard bit is clear
-_KEY_BITS = _SHIFTS[0] + _FIELD_BITS[0]
+_KEY_BITS = _SHIFTS[_X] + _FIELD_BITS[_X]
 _QOFF = 1 << 19
 _EXP_LIMIT = (1 << 19) - 1
+_X_LIMIT = (1 << 20) - 1
 
 Q_UNIT = 1 << _SHIFTS[1]  # the key step of one power of q
+X_UNIT = 1 << _SHIFTS[_X]  # the key step of one power of X
 KEY_ONE = _QOFF * Q_UNIT  # all exponents zero
 _GUARDS = sum(1 << (s + w - 1) for s, w in zip(_SHIFTS, _FIELD_BITS))
+_X_GUARD = X_UNIT << (_FIELD_BITS[_X] - 1)
 
 
-def _pack(ep: int, eq: int, ea: int, ed: int) -> int:
+def _pack(ep: int, eq: int, ea: int, ed: int, ex: int = 0) -> int:
     if not (0 <= ep <= _EXP_LIMIT and 0 <= ea <= _EXP_LIMIT and 0 <= ed <= _EXP_LIMIT):
         raise ScalarError("exponent out of range (p, A, d must be 0..%d)" % _EXP_LIMIT)
     if not (-_QOFF < eq <= _EXP_LIMIT):
         raise ScalarError("q exponent out of range")
-    sp, sq, sa, sd = _SHIFTS
-    return (ep << sp) | ((eq + _QOFF) << sq) | (ea << sa) | (ed << sd)
+    if not 0 <= ex <= _X_LIMIT:
+        raise ScalarError(_DEGREE_MSG)
+    sp, sq, sa, sd, sx = _SHIFTS
+    return (ex << sx) | (ep << sp) | ((eq + _QOFF) << sq) | (ea << sa) | (ed << sd)
 
 
 _RANGE_MSG = (
     "result exceeds the exponent limit: p, A and d exponents must stay in 0..%d, q exponents in -%d..%d"
     % ((_EXP_LIMIT,) * 3)
 )
+_DEGREE_MSG = "result exceeds the polynomial degree limit: degrees must stay in 0..%d" % _X_LIMIT
 
 
-def _unpack(key: int) -> tuple[int, int, int, int]:
-    sp, sq, sa, sd = _SHIFTS
+def _unpack(key: int) -> tuple[int, int, int, int, int]:
+    """The exponents of p, q, A, d and X, in the order of VAR_NAMES."""
+    sp, sq, sa, sd, sx = _SHIFTS
     return (
-        key >> sp,
+        (key >> sp) & _FIELD_MASK,
         ((key >> sq) & _FIELD_MASK) - _QOFF,
         (key >> sa) & _FIELD_MASK,
         (key >> sd) & _FIELD_MASK,
+        key >> sx,
     )
 
 
 def _order_key(key: int) -> int:
     # graded-lex as one int: the total degree above the key, which itself
-    # compares as lex order on (p, q, A, d) because 0 <= key < 2^_KEY_BITS
-    sp, sq, sa, sd = _SHIFTS
-    deg = (key >> sp) + ((key >> sq) & _FIELD_MASK) - _QOFF + ((key >> sa) & _FIELD_MASK) + ((key >> sd) & _FIELD_MASK)
+    # compares as lex order on (X, p, q, A, d) because 0 <= key < 2^_KEY_BITS
+    sp, sq, sa, sd, sx = _SHIFTS
+    m = _FIELD_MASK
+    deg = (key >> sx) + ((key >> sp) & m) + ((key >> sq) & m) - _QOFF + ((key >> sa) & m) + ((key >> sd) & m)
     return (deg << _KEY_BITS) + key
 
 
@@ -135,7 +150,7 @@ def _mp_checked(f: dict) -> dict:
     """
     for k in f:
         if (k | (k - Q_UNIT)) & _GUARDS:
-            raise ScalarError(_RANGE_MSG)
+            raise ScalarError(_DEGREE_MSG if k >= _X_GUARD else _RANGE_MSG)
     return f
 
 
@@ -150,7 +165,7 @@ def _mp_const(c) -> dict:
 
 
 def _mp_var(idx: int, exp: int = 1) -> dict:
-    e = [0, 0, 0, 0]
+    e = [0] * _NVARS
     e[idx] = exp
     return {_pack(*e): 1}
 
@@ -202,7 +217,7 @@ def _mp_mul(f: dict, g: dict) -> dict:
 
 
 # Bits where a borrow out of a lower field shows after subtracting two keys.
-_BORROWS = sum(1 << s for s in _SHIFTS[:-1])
+_BORROWS = sum(1 << s for s in _SHIFTS if s)
 
 
 def _divides(hi: int, lo: int) -> bool:
@@ -221,7 +236,7 @@ def _mp_divexact(f: dict, g: dict) -> dict:
     skipped.
 
     Leading terms are taken in plain integer order of the keys, which is lex
-    order on (p, q, A, d), not the graded-lex order of ``_mp_leading``.  Both
+    order on (X, p, q, A, d), not the graded-lex order of ``_mp_leading``.  Both
     are monomial orders, and the quotient of an exact division, or the
     verdict that there is none, does not depend on which one drives it, so
     the cheap integer comparison is used here.  ``_mp_leading`` stays
@@ -299,7 +314,7 @@ def _mp_icontent(f: dict) -> int:
 
 def _mp_monomial_gcd(f: dict, g: dict) -> dict:
     """Componentwise-min monomial common to every term of f and of g."""
-    mins = [None, None, None, None]
+    mins = [None] * _NVARS
     for poly in (f, g):
         for k in poly:
             e = _unpack(k)
@@ -390,6 +405,17 @@ def _mp_gcd_int(f: dict, g: dict) -> dict:
     pvars = [i for i in range(_NVARS) if _mp_uses(f, i) or _mp_uses(g, i)]
     if not pvars:
         return _mp_const(math.gcd(_mp_icontent(f), _mp_icontent(g)))
+    for i in pvars:
+        if not _mp_uses(f, i) or not _mp_uses(g, i):
+            # a variable only g uses (after the swap): the gcd is free of it,
+            # so it is the gcd of f and g's coefficients in it.  A Poly1's
+            # numerator against its X-free denominator takes this path.
+            if _mp_uses(f, i):
+                f, g = g, f
+            for c in _split_by_var(g, i):
+                if c:
+                    f = _mp_gcd_int(f, c)
+            return f
     # pick the present variable with the smallest combined degree
     idx = min(pvars, key=lambda i: max(_mp_degrees(f, i)[1], _mp_degrees(g, i)[1]))
     uf, ug = _split_by_var(f, idx), _split_by_var(g, idx)
@@ -420,37 +446,41 @@ def _mp_gcd(f: dict, g: dict) -> dict:
     return _mp_gcd_int(_mp_int(f), _mp_int(g))
 
 
-def _taylor(coeffs: list[dict], term: tuple[int, object], drop: int) -> list[dict]:
-    """Term maps of sum_j c_j ((X + o)^j - drop*X^j) / o^drop, for drop 0 or 1.
+def _taylor(num: dict, term: tuple[int, object], drop: int) -> dict:
+    """Term map of (f(X + o) - drop*f(X)) / o^drop, for drop 0 or 1.
 
-    ``coeffs`` are the term maps of polynomial coefficients c_j and ``term``
-    is the (key, coefficient) pair of the single-term offset o.  This is the
-    binomial form of the Taylor shift (von zur Gathen and Gerhard, ISSAC
-    1997): output j - t gains C(j, t) * o^(t - drop) * c_j, and o^s is the
-    key step s*(key(o) - KEY_ONE) with coefficient c_o**s, so the sum is one
-    ``axpy_shift`` per (j, t) and builds no Scalar.
+    ``num`` is the term map of a polynomial f = sum_j c_j X^j, X the top key
+    field, and ``term`` is the (key, coefficient) pair of the X-free
+    single-term offset o.  This is the binomial form of the Taylor shift (von
+    zur Gathen and Gerhard, ISSAC 1997): X^(j - t) gains C(j, t) *
+    o^(t - drop) * c_j, and o^s is the key step s*(key(o) - KEY_ONE) with
+    coefficient c_o**s, so the sum is one ``axpy_shift`` per (j, t) into one
+    term map and builds no Scalar.
     """
+    if not num:
+        return {}
     ko, co = term
+    coeffs = _split_by_var(num, _X)
     top = len(coeffs) - 1 - drop
     if top > 0:
         # o^top has the largest exponents of every power used.  It is checked
         # by its exponents, because its key may overshoot a field's guard bit;
         # every key formed below is then a product of two in-range keys, which
         # _mp_checked decides exactly.
-        ep, eq, ea, ed = _unpack(ko)
+        ep, eq, ea, ed, _ex = _unpack(ko)
         if max(ep, ea, ed) * top > _EXP_LIMIT or not -_QOFF < eq * top <= _EXP_LIMIT:
             raise ScalarError(_RANGE_MSG)
     step = ko - KEY_ONE
     powers = [1]
     for _ in range(top):
         powers.append(powers[-1] * co)
-    out: list[dict] = [{} for _ in range(len(coeffs) - drop)]
+    out: dict = {}
     for j, c in enumerate(coeffs):
         if c:
             for t in range(drop, j + 1):
                 s = t - drop
-                _k.axpy_shift(out[j - t], c, s * step, math.comb(j, t) * powers[s])
-    return [_mp_checked(f) for f in out]
+                _k.axpy_shift(out, c, s * step + (j - t) * X_UNIT, math.comb(j, t) * powers[s])
+    return _mp_checked(out)
 
 
 def _coeff_norm(v):
@@ -839,158 +869,229 @@ def _subst_once(x: Scalar, bindings: dict[str, Scalar]) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Scalar (used for N-polynomials, for the
+# univariate polynomials over Scalar (used for N-polynomials, for the
 # representation module's polynomial space, and for Lemma-style expansions)
+
+def _times_x(c: Scalar, e: int) -> Scalar:
+    """c * X^e for an X-free c, reduced because c is."""
+    if not 0 <= e <= _X_LIMIT:
+        raise ScalarError(_DEGREE_MSG)
+    return Scalar({k + e * X_UNIT: v for k, v in c.num.items()}, c.den, _normalized=True)
 
 
 class Poly1:
-    """Dense univariate polynomial with Scalar coefficients."""
+    """Univariate polynomial in ``var`` with Scalar coefficients.
 
-    __slots__ = ("coeffs", "var")
+    Stored as one Scalar, ``value``, in p, q, A, d and the key field X, which
+    stands for ``var``.  Invariant: the denominator of ``value`` is free of
+    X, so all coefficients share it, and Scalar's canonical form is also the
+    polynomial's; equality, hashing and the arithmetic are Scalar's.  X never
+    leaves this class: ``coeffs``, ``[i]`` and ``terms`` split the numerator
+    by its X field on demand and hand out reduced X-free Scalars.
+    """
+
+    __slots__ = ("value", "var")
 
     def __init__(self, coeffs, var: str = "N"):
-        cs = [Scalar.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
+        # coefficients over one denominator are joined as they are; any other
+        # is added as a Scalar, which brings the sum over a common denominator
+        num, den, rest = {}, None, []
+        for e, c in enumerate(coeffs):
+            c = Scalar.of(c)
+            if c:
+                term = _times_x(c, e)
+                if den is None or term.den == den:
+                    den = term.den
+                    num.update(term.num)
+                else:
+                    rest.append(term)
+        value = Scalar(num, den, _normalized=True)
+        for x in rest:
+            value = value + x
+        self.value = value
         self.var = var
 
     @staticmethod
+    def _of(value: Scalar, var: str) -> "Poly1":
+        f = Poly1.__new__(Poly1)
+        f.value = value
+        f.var = var
+        return f
+
+    @staticmethod
     def const(c, var: str = "N") -> "Poly1":
-        return Poly1([Scalar.of(c)], var)
+        return Poly1._of(Scalar.of(c), var)
+
+    @staticmethod
+    def monomial(c, k: int, var: str = "N") -> "Poly1":
+        """c * var^k."""
+        return Poly1._of(_times_x(Scalar.of(c), k), var)
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        # X is the top field, so the largest key has the largest degree
+        return max(self.value.num) >> _SHIFTS[_X] if self.value.num else float("-inf")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.value.num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.value.num)
 
     def __eq__(self, other):
-        return isinstance(other, Poly1) and self.coeffs == other.coeffs
+        return isinstance(other, Poly1) and self.value == other.value
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash(self.value)
 
     def __add__(self, other):
-        other = self._lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly1(
-            [self[i] + other[i] for i in range(n)],
-            self.var,
-        )
+        return Poly1._of(self.value + self._lift(other).value, self.var)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly1([self[i] - other[i] for i in range(n)], self.var)
+        return Poly1._of(self.value - self._lift(other).value, self.var)
 
     def __neg__(self):
-        return Poly1([-c for c in self.coeffs], self.var)
+        return Poly1._of(-self.value, self.var)
 
     def __mul__(self, other):
+        if isinstance(other, Poly1):
+            return Poly1._of(self.value * other.value, self.var)
         if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.of(other)
-            return Poly1([ci * c for ci in self.coeffs], self.var)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly1(out, self.var)
+            return Poly1._of(self.value * other, self.var)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("polynomials admit non-negative powers only")
-        out = Poly1.const(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __getitem__(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else zero
+        if n and self.degree() * n > _X_LIMIT:
+            raise ScalarError(_DEGREE_MSG)
+        return Poly1._of(self.value**n, self.var)
 
     def _lift(self, other) -> "Poly1":
         if isinstance(other, Poly1):
             return other
         return Poly1.const(other, self.var)
 
-    def evaluate(self, value):
-        """Horner evaluation; value may be a Scalar or anything with +, *."""
-        if not self.coeffs:
-            return zero if isinstance(value, Scalar) else 0 * value
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * value + c
-        return acc
+    # -- coefficients ----------------------------------------------------------
 
-    def compose_affine(self, scale: Scalar, offset: Scalar) -> "Poly1":
-        """f(scale*X + offset): a Taylor shift, then the scaling.
+    def _over_den(self, num: dict) -> Scalar:
+        """The reduced Scalar num / (this polynomial's denominator)."""
+        den = self.value.den
+        if den == _MP_ONE:
+            return Scalar(num, None, _normalized=True)
+        return Scalar(num, den)
 
-        A nonzero single-term offset over coefficients with denominator 1
-        shifts by one binomial sum on term maps (``_taylor``).  Any other
-        offset or coefficient takes the classic in-place scheme: n(n-1)/2
-        Scalar products and no intermediate polynomial (von zur Gathen and
-        Gerhard, "Fast algorithms for Taylor shifts and certain difference
-        equations", ISSAC 1997).  Coefficient k is then multiplied by
-        scale**k, since f(scale*X + offset) = g(scale*X) for g = f(X + offset).
-        """
-        scale, offset = Scalar.of(scale), Scalar.of(offset)
-        c = self._taylor_coeffs(offset, 0)
-        n = len(self.coeffs)
-        if c is None:
-            c = list(self.coeffs)
-            if offset:
-                for i in range(n - 1):
-                    for j in range(n - 2, i - 1, -1):
-                        c[j] = c[j] + offset * c[j + 1]
-        if scale != one:
-            power = one
-            for k in range(1, n):
-                power = power * scale
-                c[k] = c[k] * power
-        return Poly1(c, self.var)
+    def terms(self) -> list[tuple[int, Scalar]]:
+        """The nonzero coefficients as (degree, coefficient) pairs, lowest degree first."""
+        parts: dict = {}
+        shift = _SHIFTS[_X]
+        for k, v in self.value.num.items():
+            e = k >> shift
+            parts.setdefault(e, {})[k - (e << shift)] = v
+        return [(e, self._over_den(parts[e])) for e in sorted(parts)]
 
-    def difference(self, step) -> "Poly1":
-        """(f(X + step) - f(X)) / step, the difference quotient of f.
+    @property
+    def coeffs(self) -> list[Scalar]:
+        """The dense coefficient list, constant first; built on each read."""
+        out = [zero] * (self.degree() + 1) if self else []
+        for e, c in self.terms():
+            out[e] = c
+        return out
 
-        A nonzero single-term step over coefficients with denominator 1 is
-        one binomial sum on term maps (``_taylor`` without its t = 0 terms),
-        so neither the shift nor the division forms a Scalar quotient.  Any
-        other step shifts with ``compose_affine`` and divides; a zero step
-        raises ScalarDivisionError.
-        """
-        step = Scalar.of(step)
-        c = self._taylor_coeffs(step, 1)
-        if c is None:
-            return (self.compose_affine(one, step) - self) * (one / step)
-        return Poly1(c, self.var)
-
-    def _taylor_coeffs(self, offset: Scalar, drop: int):
-        """The coefficients of ``_taylor`` over this polynomial; None where it does not apply."""
-        if len(offset.num) != 1 or offset.den != _MP_ONE or any(c.den != _MP_ONE for c in self.coeffs):
-            return None
-        [term] = offset.num.items()
-        return [Scalar(f, None, _normalized=True) for f in _taylor([c.num for c in self.coeffs], term, drop)]
+    def __getitem__(self, i: int) -> Scalar:
+        shift = _SHIFTS[_X]
+        return self._over_den({k - (i << shift): v for k, v in self.value.num.items() if k >> shift == i})
 
     def map_coeffs(self, fn) -> "Poly1":
         return Poly1([fn(c) for c in self.coeffs], self.var)
 
+    # -- evaluation and substitution ---------------------------------------------
+
+    def evaluate(self, value):
+        """Horner evaluation; value may be a Scalar or anything with +, *."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return zero if isinstance(value, Scalar) else 0 * value
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * value + c
+        return acc
+
+    def compose_affine(self, scale, offset) -> "Poly1":
+        """f(scale*X + offset).
+
+        With scale 1, a single-term offset and denominator 1 this is one
+        binomial Taylor sum on the term map (``_taylor``).  Any other
+        substitution runs Horner's rule with the Scalar scale*X + offset over
+        the numerator's coefficients and divides by the denominator once.
+        """
+        scale, offset = Scalar.of(scale), Scalar.of(offset)
+        if scale == one:
+            if not offset:
+                return self
+            if offset.is_single_term() and self.value.den == _MP_ONE:
+                [term] = offset.num.items()
+                return Poly1._of(Scalar(_taylor(self.value.num, term, 0), None, _normalized=True), self.var)
+        lin = _times_x(scale, 1) + offset
+        acc = zero
+        if self:
+            for c in reversed(_split_by_var(self.value.num, _X)):
+                acc = acc * lin + Scalar(c, None, _normalized=True)
+        if self.value.den != _MP_ONE:
+            acc = acc / Scalar(self.value.den, None, _normalized=True)
+        return Poly1._of(acc, self.var)
+
+    def difference(self, step) -> "Poly1":
+        """(f(X + step) - f(X)) / step, the difference quotient of f.
+
+        A nonzero single-term step over denominator 1 is one binomial sum on
+        the term map (``_taylor`` without its t = 0 terms), so neither the
+        shift nor the division forms a Scalar quotient.  Any other step
+        shifts with ``compose_affine`` and divides; a zero step raises
+        ScalarDivisionError.
+        """
+        step = Scalar.of(step)
+        if step and step.is_single_term() and self.value.den == _MP_ONE:
+            [term] = step.num.items()
+            return Poly1._of(Scalar(_taylor(self.value.num, term, 1), None, _normalized=True), self.var)
+        return (self.compose_affine(one, step) - self) * (one / step)
+
+    # -- the actions of the polynomial representations, one pass over the terms --
+
+    def derivative(self) -> "Poly1":
+        """d/dX: X^k -> k X^(k-1)."""
+        shift = _SHIFTS[_X]
+        num = {k - X_UNIT: v * (k >> shift) for k, v in self.value.num.items() if k >= X_UNIT}
+        return Poly1._of(self._over_den(num), self.var)
+
+    def q_derivative(self) -> "Poly1":
+        """The Jackson derivative: X^k -> {k} X^(k-1), {k} = 1 + q + ... + q^(k-1)."""
+        shift = _SHIFTS[_X]
+        out: dict = {}
+        get = out.get
+        for k, v in self.value.num.items():
+            low = k - X_UNIT
+            for kt in range(low, low + (k >> shift) * Q_UNIT, Q_UNIT):
+                s = get(kt, 0) + v
+                if s:
+                    out[kt] = s
+                else:
+                    del out[kt]
+        return Poly1._of(self._over_den(_mp_checked(out)), self.var)
+
+    def mul_x(self) -> "Poly1":
+        """X * f; the denominator, free of X, stays reduced against the numerator."""
+        num = _mp_checked({k + X_UNIT: v for k, v in self.value.num.items()})
+        return Poly1._of(Scalar(num, self.value.den, _normalized=True), self.var)
+
+    # -- rendering ----------------------------------------------------------------
+
     def text(self) -> str:
         terms = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c:
-                mono = "" if e == 0 else self.var if e == 1 else "%s^%d" % (self.var, e)
-                terms.append(signed_term(c, mono))
+        for e, c in reversed(self.terms()):
+            mono = "" if e == 0 else self.var if e == 1 else "%s^%d" % (self.var, e)
+            terms.append(signed_term(c, mono))
         return join_signed(terms)
 
     def __repr__(self):

@@ -173,7 +173,7 @@ class Relation:
     def npoly_nf(self, poly: Poly1) -> "NormalForm":
         if not self.has_N and poly.degree() not in (float("-inf"), 0):
             raise WordError("polynomial in N under a relation without N")
-        return NormalForm(self, {_key(0, m, 0): c for m, c in enumerate(poly.coeffs) if c})
+        return NormalForm(self, {_key(0, m, 0): c for m, c in poly.terms()}, _clean=True)
 
     # -- reordering engine -----------------------------------------------------
 
@@ -199,8 +199,8 @@ class Relation:
             return {_KEY0: one}
         got = self._shift_pow.get((m, t))
         if got is None:
-            poly = Poly1([zero] * m + [one], "N").compose_affine(self.tau**t, self.tau_number(t))
-            got = self._shift_pow[(m, t)] = {_key(0, e, 0): c for e, c in enumerate(poly.coeffs) if c}
+            poly = Poly1.monomial(one, m).compose_affine(self.tau**t, self.tau_number(t))
+            got = self._shift_pow[(m, t)] = {_key(0, e, 0): c for e, c in poly.terms()}
         return got
 
     def _R1(self, i: int) -> dict:
@@ -211,17 +211,19 @@ class Relation:
         if got is None:
             # bottom-up, so no exponent reaches the recursion limit; the fill
             # keeps the table exactly {1, ..., len(table)}
+            # the remainder's nonzero coefficients, (m, F_m), or (0, rho) without N
+            rem = self.F.terms() if self.has_N else [(0, self.rho)] if self.rho else []
             t = len(self._r1)
             got = self._R1(t)
             while t < i:
                 t += 1
-                got = self._r1[t] = self._r1_step(got, t)
+                got = self._r1[t] = self._r1_step(got, t, rem)
         return got
 
-    def _r1_step(self, prev: dict, i: int) -> dict:
+    def _r1_step(self, prev: dict, i: int, rem: list) -> dict:
         """a * b^i = sigma * b * (a * b^(i-1)) + b^(i-1) * F(tau^(i-1) N + {i-1})."""
         out = _k.axpy_shift({}, prev, _key(1, 0, 0), self.sigma)
-        for m, c in enumerate(self.F.coeffs if self.has_N else [self.rho]):
+        for m, c in rem:
             _k.axpy_shift(out, self._shiftpow(m, i - 1), _key(i - 1, 0, 0), c)
         return out
 
@@ -289,18 +291,25 @@ def _check_key_range(x: "NormalForm", y: "NormalForm") -> None:
     """
     if not x.terms or not y.terms:
         return
-    j_of = _MASK.__and__
-    j1 = max(map(j_of, x.terms))
-    j2 = max(map(j_of, y.terms))
-    m = 0
+    j1, m1 = _largest_j_m(x)
+    j2, m2 = _largest_j_m(y)
+    m = m1 + m2
     rel = x.rel
-    if rel.has_N:
-        m_of = (_MASK << 20).__and__
-        m = (max(map(m_of, x.terms)) + max(map(m_of, y.terms))) >> 20
-        if rel.F:
-            i2 = max(y.terms) >> 40  # i is the key's top field
-            m += rel.F.degree() * min(j1, i2)
-    if j1 + j2 > _MASK or m > _MASK:
+    if rel.F:
+        i2 = max(y.terms) >> 40  # i is the key's top field
+        m += rel.F.degree() * min(j1, i2)
+    _refuse_past_limit(j1 + j2, m)
+
+
+def _largest_j_m(x: "NormalForm") -> tuple[int, int]:
+    """The largest a-exponent and the largest N-exponent over the terms of x."""
+    j = max(map(_MASK.__and__, x.terms))
+    m = max(map((_MASK << 20).__and__, x.terms)) >> 20 if x.rel.has_N else 0
+    return j, m
+
+
+def _refuse_past_limit(j: int, m: int) -> None:
+    if j > _MASK or m > _MASK:
         raise WordError("product exceeds the exponent limit: powers of a and N must stay below 2^20")
 
 
@@ -419,9 +428,23 @@ class NormalForm:
         return NormalForm(self.rel, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "NormalForm":
+        """x^n: a product of n factors x, one at a time, or by squaring for a single term.
+
+        Squaring a sum multiplies two large normal forms, whose reordering
+        costs far more than multiplying by x n times.  The base's largest
+        exponents times n are checked against the key range first, so a
+        huge n is refused before any work.
+        """
         if n < 0:
             raise ValueError("normal forms admit non-negative powers only")
+        if self.terms and n > 1:
+            j, m = _largest_j_m(self)
+            _refuse_past_limit(j * n, m * n)
         out = self.rel.unit()
+        if len(self.terms) > 1:
+            for _ in range(n):
+                out = out * self
+            return out
         base = self
         while n:
             if n & 1:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -520,6 +521,23 @@ def test_cli_pbw_exponent_overflow_exit_2(capsys, args):
     rc, out, err = cli_main(capsys, *args)
     assert rc == 2
     assert "exponent limit" in err and not out
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        # Poly1 ** squared dense coefficient lists: N^600000 still ran after 20 s
+        (("normalize", "--relation", "extended", "--F", "N^2000000", "a*b"), "polynomial degree limit"),
+        # NormalForm ** checks the base's exponents times n before it multiplies
+        (("normalize", "(a*b)^1048576"), "exponent limit"),
+    ],
+)
+def test_cli_huge_powers_exit_2_at_once(capsys, args, reason):
+    start = time.perf_counter()
+    rc, out, err = cli_main(capsys, *args)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert reason in err and not out
 
 
 @pytest.mark.parametrize("text, j, i", [("a*b^1500", 1, 1500), ("a^1500*b", 1500, 1)])

@@ -343,6 +343,45 @@ def test_monomial_products_are_exact_or_refused(e1, e2):
 
 _HALF = 2**18  # 262144: two halves reach the first exponent past the range
 
+# --- the fifth key field, X: the variable of a Poly1 -----------------------------
+
+_X_LIMIT = S._X_LIMIT
+_xexps = st.sampled_from((0, 1, 2**19, _X_LIMIT - 1, _X_LIMIT)) | st.integers(0, _X_LIMIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exps, _qexps, _exps, _exps, _xexps)
+def test_pack_round_trip_with_the_polynomial_field(ep, eq, ea, ed, ex):
+    key = S._pack(ep, eq, ea, ed, ex)
+    assert S._unpack(key) == (ep, eq, ea, ed, ex)
+    assert not (key | (key - S.Q_UNIT)) & S._GUARDS
+    # X sits above the other four fields: a key without X keeps its value
+    assert key == S._pack(ep, eq, ea, ed) + ex * S.X_UNIT
+    assert S._mp_checked({key: 1})
+
+
+def test_polynomial_field_guard_bit_at_the_degree_limit():
+    with pytest.raises(ScalarError, match="polynomial degree limit"):
+        S._pack(0, 0, 0, 0, _X_LIMIT + 1)
+    top = Poly1.monomial(one, _X_LIMIT, "x")
+    assert top.degree() == _X_LIMIT
+    assert (S._pack(0, 0, 0, 0, _X_LIMIT) + S.X_UNIT) & S._GUARDS == S._X_GUARD  # the product key sets X's guard
+    for build in (
+        top.mul_x,
+        lambda: top * Poly1([0, 1], "x"),
+        lambda: Poly1([1, 1], "x") ** (_X_LIMIT + 1),
+        lambda: Poly1.monomial(one, _X_LIMIT + 1, "x"),
+    ):
+        with pytest.raises(ScalarError, match="polynomial degree limit"):
+            build()
+    # a field below X that leaves its range is named as before
+    with pytest.raises(ScalarError, match="p, A and d exponents"):
+        Poly1([P**_LIMIT], "x") * P
+    # the Jackson derivative's q-numbers reach past q's range before X's
+    with pytest.raises(ScalarError, match="q exponents"):
+        Poly1.monomial(one, _LIMIT + 2, "x").q_derivative()
+    assert Poly1.monomial(one, _LIMIT + 1, "x").q_derivative()[_LIMIT] == qnum(_LIMIT + 1)
+
 
 _mono = Scalar.variable
 
@@ -495,3 +534,14 @@ def test_poly1_negative_power_rejected():
 def test_poly1_degree_sentinel():
     assert Poly1([]).degree() == float("-inf")
     assert Poly1([1]).degree() == 0
+
+
+def test_poly1_is_one_scalar_over_an_x_free_denominator():
+    f = Poly1([P / (1 + Q), zero, one / ((1 + Q) * (P - 1)), Q], "x")
+    assert f.value.den == ((1 + Q) * (P - 1)).num  # the least common denominator
+    assert not S._mp_uses(f.value.den, S._X)
+    assert f.coeffs == [P / (1 + Q), zero, one / ((1 + Q) * (P - 1)), Q]
+    assert f[2] == one / ((1 + Q) * (P - 1)) and f[4] == zero and f[-1] == zero
+    assert Poly1(f.coeffs, f.var) == f and hash(Poly1(f.coeffs, f.var)) == hash(f)
+    assert (f * (1 + Q)).value.den == (P - 1).num
+    assert f.text() == "q*x^3 + (1)/(p*q + p - q - 1)*x^2 + (p)/(q + 1)"

@@ -17,6 +17,7 @@ from qweyl import scalar as S
 sympy = pytest.importorskip("sympy")
 
 SYMS = {name: sympy.Symbol(name) for name in S.VAR_NAMES}
+X = sympy.Symbol("x")  # the variable of the Poly1 values below
 TWINS = {
     "p": (S.P, SYMS["p"]),
     "q": (S.Q, SYMS["q"]),
@@ -59,7 +60,7 @@ QUOTIENTS = _quotients(7)
 
 
 def _sympy_of(text: str):
-    return sympy.sympify(text.replace("^", "**"), locals=SYMS)
+    return sympy.sympify(text.replace("^", "**"), locals={**SYMS, "x": X})
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +124,6 @@ def test_divexact_refuses_late_like_sympy(f, g):
 
 # --- compose_affine is f(scale*x + offset) as sympy substitutes it --------------------------
 
-X = sympy.Symbol("x")
 _COEFFS = st.just(_const(Fraction(0))) | _quotients(3)
 # polynomial coefficients (denominator 1, Laurent in q), where a single-term
 # offset takes the term-map sum instead of Scalar arithmetic
@@ -174,10 +174,26 @@ def _poly1_and_twin(coeffs):
 
 
 def _assert_coefficients_match(got, expected, n):
+    """got is the polynomial expected in x of degree below n: read by ``[k]``,
+    by ``coeffs`` and as ``text()``, and rebuilt from its coefficients."""
     assert got.var == "x"
-    assert not got.coeffs or not got.coeffs[-1].is_zero()
-    for k in range(max(len(got.coeffs), n)):
+    coeffs = got.coeffs
+    assert not coeffs or not coeffs[-1].is_zero()
+    assert got.degree() == (len(coeffs) - 1 if coeffs else float("-inf"))
+    for k in range(max(len(coeffs), n)):
+        assert got[k] == (coeffs[k] if k < len(coeffs) else S.zero), (k, got)
         assert sympy.cancel(_sympy_scalar(got[k]) - expected.coeff(X, k)) == 0, (k, got)
+    # the whole text, compared at two rational points: cancelling it symbolically takes seconds
+    text = _sympy_of(got.text())
+    for point in _POINTS:
+        assert text.subs(point) == expected.subs(point), got
+    assert S.Poly1(coeffs, got.var) == got
+
+
+_POINTS = [
+    {X: sympy.Rational(*x), **{SYMS[name]: sympy.Rational(*v) for name, v in zip("pqAd", values)}}
+    for x, values in (((19, 23), ((3, 7), (5, 11), (2, 13), (7, 17))), ((-5, 3), ((-9, 4), (8, 3), (-1, 6), (4, 9))))
+]
 
 
 def _sympy_scalar(x):
@@ -234,3 +250,72 @@ def test_difference_matches_sympy(coeffs, step):
 def test_difference_matches_sympy_on_every_step(step):
     for coeffs in (_FIXED_COEFFS, _FIXED_QUOTIENT, [], _FIXED_COEFFS[:1]):
         _assert_difference_matches_sympy(coeffs, _ALL_OFFSETS[step])
+
+
+# --- Poly1 is one packed Scalar: arithmetic and the representation actions ---------------
+#
+# Coefficients over different denominators that share factors with other
+# coefficients' numerators, so that bringing them over one denominator, and
+# reading each coefficient back, needs gcds that involve the key field X.
+
+_FACTORS = [
+    (S.one + S.Q, 1 + SYMS["q"]),
+    (S.P - 1, SYMS["p"] - 1),
+    (S.P + S.Q, SYMS["p"] + SYMS["q"]),
+    (S.Q * S.A + 1, SYMS["q"] * SYMS["A"] + 1),
+    (S.D, SYMS["d"]),
+]
+
+
+def _ratio(picks):
+    k, nums, dens = picks
+    x, twin = _const(Fraction(k))
+    for i in nums:
+        x, twin = x * _FACTORS[i][0], twin * _FACTORS[i][1]
+    for i in dens:
+        x, twin = x / _FACTORS[i][0], twin / _FACTORS[i][1]
+    return x, twin
+
+
+_FACTOR_INDEX = st.integers(0, len(_FACTORS) - 1)
+_RATIOS = st.tuples(st.integers(-3, 3), st.lists(_FACTOR_INDEX, max_size=2), st.lists(_FACTOR_INDEX, max_size=2)).map(_ratio)
+_POLY1_COEFF_LISTS = st.lists(_RATIOS | LEAVES, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLY1_COEFF_LISTS)
+def test_poly1_reads_back_its_coefficients(coeffs):
+    f, twin = _poly1_and_twin(coeffs)
+    # one denominator, free of X, and the whole value already in canonical form
+    assert not S._mp_uses(f.value.den, S._X)
+    again = S.Scalar(dict(f.value.num), dict(f.value.den))
+    assert (again.num, again.den) == (f.value.num, f.value.den)
+    _assert_coefficients_match(f, sympy.expand(twin), len(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLY1_COEFF_LISTS, _POLY1_COEFF_LISTS, st.sampled_from("+-*"))
+def test_poly1_arithmetic_matches_sympy(coeffs, others, op):
+    (f, twin), (g, other_twin) = _poly1_and_twin(coeffs), _poly1_and_twin(others)
+    got, expected = _apply((op, (f, twin), (g, other_twin)))
+    _assert_coefficients_match(got, sympy.expand(expected), len(coeffs) + len(others))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_RATIOS | LEAVES, max_size=3), st.integers(0, 3))
+def test_poly1_powers_match_sympy(coeffs, n):
+    f, twin = _poly1_and_twin(coeffs)
+    _assert_coefficients_match(f**n, sympy.expand(twin**n), 3 * n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLY1_COEFF_LISTS)
+def test_poly1_actions_match_sympy(coeffs):
+    f, twin = _poly1_and_twin(coeffs)
+    q = SYMS["q"]
+    n = len(coeffs) + 1
+    _assert_coefficients_match(f.derivative(), sympy.expand(sympy.diff(twin, X)), n)
+    _assert_coefficients_match(f.mul_x(), sympy.expand(X * twin), n)
+    # the Jackson derivative as a difference quotient, with no q-number in it
+    jackson = sympy.cancel((twin.subs(X, q * X) - twin) / ((q - 1) * X))
+    _assert_coefficients_match(f.q_derivative(), sympy.expand(jackson), n)

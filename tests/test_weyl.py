@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qweyl import scalar as S
+from qweyl import weyl as W
 from qweyl.scalar import P, Q, Poly1, one, qnum
 from qweyl.weyl import (
     NormalForm,
@@ -123,6 +124,35 @@ def test_power_trivial(rel):
 
 def test_power_product_collapse(rel):
     assert rel.word("aba") ** 2 == rel.word("aabbaa")
+
+
+def test_power_of_a_sum_is_a_product_of_factors():
+    # a fresh relation each, so neither side finds the other's memo entries
+    assert hq().word("ab") ** 30 == hq().word("ab" * 30)
+    ext = extended(F=Poly1([1, 0, 2], "N"))
+    x = ext.word("ba") + 3 * ext.gen("N") - ext.word("ab")
+    assert x**3 == x * (x * x)  # the order of binary powering
+    assert x**4 == (x * x) * (x * x)
+
+
+def test_extended_remainder_moves_only_nonzero_coefficients(monkeypatch):
+    # F = N^40 + 2: a*b^i moves N^40 and the constant across b^(i-1), not the 39 zero powers between
+    moved = []
+    shiftpow = W.Relation._shiftpow
+    monkeypatch.setattr(W.Relation, "_shiftpow", lambda rel, m, t: moved.append(m) or shiftpow(rel, m, t))
+    extended(F=Poly1([2] + [0] * 39 + [1], "N"))._R1(3)
+    assert moved == [0, 40] * 3
+
+
+def test_power_refuses_huge_exponents_before_any_work():
+    # the largest a- and N-exponents of the base times n pass the key range, or nothing is multiplied
+    ab = hq().word("ab")
+    with pytest.raises(WordError):
+        ab ** (1 << 20)
+    n_plus_1 = extended().word("N") + 1
+    with pytest.raises(WordError):
+        n_plus_1 ** (1 << 20)
+    assert nf_terms(hq().gen("b") ** (1 << 21)) == {(1 << 21, 0, 0): one}  # b's field is not bounded
 
 
 # --- commutator ---------------------------------------------------------------------------
