@@ -69,7 +69,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _common_flags(p, relation=True, params=True, cases=False)
 
     p = sub.add_parser("suite", help="run an identity catalog")
-    p.add_argument("--catalog", default="all", choices=("all", "core", "errata", "extended", "none"))
+    p.add_argument("--catalog", default="all", choices=("all", "core", "errata", "extended"))
     p.add_argument("--ids", default=None, help="comma-separated catalog tags to keep, e.g. THM5,LEM3")
     p.add_argument("--variants", default=None, help="comma-separated variant filter, e.g. as_stated")
     _common_flags(p, relation=False, params=True, cases=True, max_n=True)
@@ -117,8 +117,8 @@ def _run_statement(args, kind: str) -> dict:
     rel = _relation_from(args)
     bindings = par.parse_bindings(args.params or "")
     text = " ".join(args.expr).rstrip()
-    # error columns count from the start of the expression
-    stmt = par._parse_verify(text, 1, 1) if kind == "verify" else par.Statement(kind, (par.parse(text),))
+    # column 1 is the expression's first character, after "<kind> "
+    stmt = par.parse_statement("%s %s" % (kind, text), 1, -len(kind))
     return par.run_statement(stmt, rel, bindings)
 
 
@@ -196,9 +196,7 @@ def main(argv=None) -> int:
             return _cmd_suite(args)
         if args.command == "rep-check":
             return _cmd_rep_check(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        return 2
+        return _cmd_expand(args)
     except (par.ParseError, par.EvalError, WordError, ScalarError, ident.UnsupportedCaseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -374,9 +374,6 @@ class AbPowerExpansion:
     coeffs: list
     relation: Relation
 
-    def __len__(self):
-        return len(self.coeffs)
-
     def reconstruct(self) -> NormalForm:
         """Sum c_k (ab)^k, each coefficient multiplying from the left."""
         rel = self.relation
@@ -779,8 +776,6 @@ def catalog_cases(config: SuiteConfig):
             + _errata_cases(config.max_n)
             + _extended_cases(config.max_n)
         )
-    elif config.catalog == "none":
-        pairs = []
     else:
         raise UnsupportedCaseError("unknown catalog %r" % config.catalog)
     for name, wanted, known in (("catalog ids", config.ids, CATALOG_IDS), ("variants", config.variants, VARIANTS)):

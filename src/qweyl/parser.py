@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "eval_scalar",
     "eval_npoly",
-    "print_canonical",
     "Statement",
     "parse_bindings",
     "parse_statement",
@@ -363,10 +362,6 @@ def eval_npoly(ast) -> Poly1:
     raise EvalError("not a polynomial in N")
 
 
-def print_canonical(x: NormalForm) -> str:
-    return x.render()
-
-
 # --- statements ------------------------------------------------------------------
 
 
@@ -393,8 +388,9 @@ def parse_statement(text: str, line: int = 1, col: int = 1) -> Statement:
     if head == "with":
         return Statement("with", (), parse_bindings(stripped[len("with") :], *_position(text, start, line, col)))
     if head in ("normalize", "expand", "verify"):
-        body_at = _position(text, start + len(head), line, col)
-        body = stripped[len(head) :]
+        # the expression starts after the keyword and its blank, even when empty
+        body_at = _position(text, start + len(head) + 1, line, col)
+        body = stripped[len(head) + 1 :]
         if head == "verify":
             return _parse_verify(body, *body_at)
         return Statement(head, (parse(body, *body_at),))

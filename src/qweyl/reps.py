@@ -300,19 +300,17 @@ def _images_factor(us, vs):
 
 
 class FockRep:
-    """a|n> = s_n |n-1>, b|n> = |n+1>, a|0> = 0, truncated at level L.
+    """a|n> = s_n |n-1>, b|n> = |n+1>, a|0> = 0, truncated at level L = len(seq).
 
-    The sequence must be exact (Scalars); anything that does not coerce is
-    rejected at construction.
+    The sequence s_1 .. s_L must be exact (Scalars); anything that does not
+    coerce is rejected at construction.
     """
 
     __slots__ = ("seq", "L")
 
-    def __init__(self, seq, L: int | None = None):
+    def __init__(self, seq):
         self.seq = [Scalar.of(s) for s in seq]
-        self.L = len(self.seq) if L is None else L
-        if self.L != len(self.seq):
-            raise TruncationError("sequence length %d != L=%d" % (len(self.seq), self.L))
+        self.L = len(self.seq)
         if self.L < 2:
             raise TruncationError("truncation level too small")
 
@@ -331,7 +329,7 @@ def hq_fock(p=None, q=None, L: int = 12) -> FockRep:
     for _ in range(L):
         acc = acc * qv + one  # {n} = q {n-1} + 1
         vals.append(rho * acc)
-    return FockRep(vals, L)
+    return FockRep(vals)
 
 
 def affine_fock(alpha, beta, L: int = 12) -> FockRep:
@@ -349,7 +347,7 @@ def affine_fock(alpha, beta, L: int = 12) -> FockRep:
         nxt = (prev - beta) / alpha
         vals.append(nxt)
         prev = nxt
-    return FockRep(vals, L)
+    return FockRep(vals)
 
 
 class FockMatrix:
@@ -383,13 +381,6 @@ class FockMatrix:
     def scale(self, c) -> "FockMatrix":
         c = Scalar.of(c)
         return FockMatrix({k: c * v for k, v in self.entries.items()}, self.L, self.letters)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "FockMatrix") -> "FockMatrix":
         if self.L != other.L:
@@ -533,10 +524,8 @@ def fock_word_matrix(word: str, rep: FockRep) -> FockMatrix:
     return FockMatrix(out, rep.L, len(word))
 
 
-def fock_matrix(x, rep: FockRep) -> FockMatrix:
-    """Matrix of a normal form (term by term) or of a word (direct)."""
-    if isinstance(x, str):
-        return fock_word_matrix(x, rep)
+def fock_matrix(x: NormalForm, rep: FockRep) -> FockMatrix:
+    """Matrix of a normal form, term by term; ``fock_word_matrix`` takes words."""
     if x.rel.has_N:
         raise ParameterMismatchError("diagonal Fock matrices cover N-free relations")
     letters = max((i + j for (i, _m, j), _c in x.items()), default=0)
@@ -556,15 +545,14 @@ def fock_matrix(x, rep: FockRep) -> FockMatrix:
     return FockMatrix(out, rep.L, letters)
 
 
-def sequence_residual(f: Poly1, rep) -> list[Scalar]:
-    """Residuals t_(n-1) - f(t_n) with t_n = s_(n+1) and t_(-1) = 0.
+def sequence_residual(f: Poly1, rep: FockRep) -> list[Scalar]:
+    """Residuals t_(n-1) - f(t_n) with t_n = s_(n+1) and t_(-1) = 0, over rep's sequence.
 
     An all-zero list certifies that the sequence realizes ba = f(ab).
     """
-    seq = rep.seq if isinstance(rep, FockRep) else [Scalar.of(s) for s in rep]
     out = []
     prev = zero
-    for s in seq:
+    for s in rep.seq:
         out.append(prev - f.evaluate(s))
         prev = s
     return out
@@ -735,7 +723,7 @@ def fock_theorem3_spotcheck(seed: int = 0, L: int = 14, trials: int = 5) -> Verd
     bad = []
     for trial in range(trials):
         seq = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(L)]
-        bad += [(trial, pair) for pair in _differing_pairs(pairs, FockRep(seq, L))]
+        bad += [(trial, pair) for pair in _differing_pairs(pairs, FockRep(seq))]
     return Verdict("pass" if not bad else "fail", bad or None)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "SubstitutionError",
     "NotDivisibleError",
     "VAR_NAMES",
-    "symbol",
     "zero",
     "one",
     "P",
@@ -792,14 +791,10 @@ zero = Scalar.of(0)
 one = Scalar.of(1)
 
 
-def symbol(name: str) -> Scalar:
-    return Scalar.variable(name)
-
-
-P = symbol("p")
-Q = symbol("q")
-A = symbol("A")
-D = symbol("d")
+P = Scalar.variable("p")
+Q = Scalar.variable("q")
+A = Scalar.variable("A")
+D = Scalar.variable("d")
 
 
 def qnum(n: int) -> Scalar:
@@ -919,10 +914,6 @@ class Poly1:
         return f
 
     @staticmethod
-    def const(c, var: str = "N") -> "Poly1":
-        return Poly1._of(Scalar.of(c), var)
-
-    @staticmethod
     def monomial(c, k: int, var: str = "N") -> "Poly1":
         """c * var^k."""
         return Poly1._of(_times_x(Scalar.of(c), k), var)
@@ -971,7 +962,7 @@ class Poly1:
     def _lift(self, other) -> "Poly1":
         if isinstance(other, Poly1):
             return other
-        return Poly1.const(other, self.var)
+        return Poly1._of(Scalar.of(other), self.var)
 
     # -- coefficients ----------------------------------------------------------
 

@@ -362,9 +362,6 @@ class NormalForm:
         for k, v in self.terms.items():
             yield _ikey(k), v
 
-    def monomials(self):
-        return sorted((_ikey(k) for k in self.terms), reverse=True)
-
     def coefficient(self, i: int, m: int = 0, j: int = 0) -> Scalar:
         return self.terms.get(_key(i, m, j), zero)
 
@@ -428,12 +425,15 @@ class NormalForm:
         return NormalForm(self.rel, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "NormalForm":
-        """x^n: a product of n factors x, one at a time, or by squaring for a single term.
+        """x^n: by squaring when no term of x carries b, or none carries a;
+        otherwise a product of n factors x, one at a time.
 
-        Squaring a sum multiplies two large normal forms, whose reordering
-        costs far more than multiplying by x n times.  The base's largest
-        exponents times n are checked against the key range first, so a
-        huge n is refused before any work.
+        Without both letters, no product of powers of x moves an a past a b,
+        so squaring is cheap.  With both, even for a single term such as b*a,
+        squaring reorders two large normal forms, which costs far more than
+        multiplying by x n times.  The base's largest exponents times n are
+        checked against the key range first, so a huge n is refused before
+        any work.
         """
         if n < 0:
             raise ValueError("normal forms admit non-negative powers only")
@@ -441,7 +441,7 @@ class NormalForm:
             j, m = _largest_j_m(self)
             _refuse_past_limit(j * n, m * n)
         out = self.rel.unit()
-        if len(self.terms) > 1:
+        if any(k >> 40 for k in self.terms) and any(k & _MASK for k in self.terms):
             for _ in range(n):
                 out = out * self
             return out

@@ -143,8 +143,8 @@ def test_long_flat_chains_evaluate():
 
 
 def test_print_examples():
-    assert P.print_canonical(evaluate(parse("a*b"), REL)) == "q*b*a + p"
-    assert P.print_canonical(evaluate(parse("a - a"), REL)) == "0"
+    assert evaluate(parse("a*b"), REL).render() == "q*b*a + p"
+    assert evaluate(parse("a - a"), REL).render() == "0"
 
 
 _atoms = st.sampled_from(["a", "b", "p", "q", "d", "2", "1/2", "qnum(2)", "qnum(3)"])
@@ -168,7 +168,7 @@ def _ast_texts(depth):
 @given(_ast_texts(2))
 def test_round_trip_law(text):
     nf = evaluate(parse(text), REL)
-    again = evaluate(parse(P.print_canonical(nf)), REL)
+    again = evaluate(parse(nf.render()), REL)
     assert again == nf
 
 
@@ -312,6 +312,13 @@ def test_cli_usage_error_exit_2():
     assert r.returncode == 2
 
 
+def test_cli_suite_has_no_empty_catalog():
+    # an empty selection is --ids with no matching case; "none" is not a catalog
+    r = run_cli("suite", "--catalog", "none")
+    assert r.returncode == 2 and not r.stdout
+    assert r.stderr.startswith("usage: qweyl suite") and "invalid choice: 'none'" in r.stderr
+
+
 def test_cli_params_binding():
     r = run_cli("normalize", "a*b", "--params", "p=1,q=2/3")
     assert r.returncode == 0
@@ -430,7 +437,7 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
     "args",
     [
         ("normalize", "a*b", "--params", "p=1/0"),
-        ("suite", "--catalog", "none", "--params", "p=1/0"),
+        ("suite", "--catalog", "core", "--params", "p=1/0"),
         ("normalize", "a*b", "--params", "p=--2"),
         # unknown suite filters are input errors of the same kind (were exit 3, and exit 0 with no cases)
         ("suite", "--catalog", "core", "--ids", "BOGUS"),

@@ -315,7 +315,7 @@ def test_fock_truncation_guard():
     with pytest.raises(TruncationError):
         fock_word_matrix("ababab", rep)
     with pytest.raises(TruncationError):
-        FockRep([one], 1)
+        FockRep([one])
 
 
 def test_fock_matrix_negative_power_rejected():
@@ -326,7 +326,7 @@ def test_fock_matrix_negative_power_rejected():
 
 def test_fock_rejects_inexact_sequences():
     with pytest.raises(Exception):
-        FockRep([0.5, 1.5], 2)
+        FockRep([0.5, 1.5])
 
 
 def test_theorem3_random_sequences():
@@ -337,6 +337,7 @@ def test_theorem3_aba_squared_any_sequence():
     rng = random.Random(31)
     seq = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(14)]
     rep = FockRep(seq)
+    assert rep.L == len(seq)
     lhs = fock_word_matrix("aba", rep)
     assert (lhs @ lhs).windowed_equal(fock_word_matrix("aabbaa", rep))
 
@@ -364,7 +365,7 @@ def test_sequence_residual_hq():
 
 
 def test_sequence_residual_identity_map():
-    rep = FockRep([Scalar.of(3)] * 6, 6)
+    rep = FockRep([Scalar.of(3)] * 6)
     f = Poly1([0, 1], "t")
     res = sequence_residual(f, rep)
     assert res[0] == Scalar.of(-3)  # t_(-1) = 0 vs f(t_0) = 3

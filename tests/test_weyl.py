@@ -131,8 +131,47 @@ def test_power_of_a_sum_is_a_product_of_factors():
     assert hq().word("ab") ** 30 == hq().word("ab" * 30)
     ext = extended(F=Poly1([1, 0, 2], "N"))
     x = ext.word("ba") + 3 * ext.gen("N") - ext.word("ab")
-    assert x**3 == x * (x * x)  # the order of binary powering
+    assert x**3 == x * (x * x)  # the grouping of the factors does not matter
     assert x**4 == (x * x) * (x * x)
+
+
+def _by_squaring(x, n):
+    out, base = x.rel.unit(), x
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def _factor_by_factor(x, n):
+    out = x.rel.unit()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "make", [hq, lambda: extended(F=Poly1([1, 2], "N")), lambda: heisenberg(1 + Q, P)], ids=["hq", "extended", "heisenberg"]
+)
+def test_power_squares_only_a_base_that_never_reorders(make, monkeypatch):
+    # x*x moves no a past a b when no term of x carries b, or none carries a; a base
+    # with both letters, the single term b*a included, takes one factor at a time
+    n = 8
+    rel = make()
+    ba, a_2, b_q = rel.word("ba"), rel.gen("a") + 2, rel.gen("b") + Q
+    want = {"ba": _by_squaring(ba, n), "2+a": _factor_by_factor(a_2, n), "b+q": _factor_by_factor(b_q, n)}
+    calls = []
+    mul = NormalForm.__mul__
+    monkeypatch.setattr(NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    counts = {}
+    for name, x in (("ba", ba), ("2+a", a_2), ("b+q", b_q)):
+        calls.clear()
+        assert x**n == want[name], name
+        counts[name] = len(calls)
+    assert counts == {"ba": n, "2+a": 4, "b+q": 4}  # log2(n) squarings and one product
 
 
 def test_extended_remainder_moves_only_nonzero_coefficients(monkeypatch):
