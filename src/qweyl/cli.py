@@ -72,7 +72,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default="all", choices=("all", "core", "errata", "extended"))
     p.add_argument("--ids", default=None, help="comma-separated catalog tags to keep, e.g. THM5,LEM3")
     p.add_argument("--variants", default=None, help="comma-separated variant filter, e.g. as_stated")
-    _common_flags(p, relation=False, params=True, cases=True, max_n=True)
+    p.add_argument(
+        "--params",
+        default=None,
+        help="bindings for the core rows only, e.g. p=1,q=2/3; errata and extended refuse them",
+    )
+    _common_flags(p, relation=False, params=False, cases=True, max_n=True)
 
     p = sub.add_parser("rep-check", help="verify identities inside concrete representations")
     p.add_argument("--rep", choices=("diff", "diff_ab", "diff_ba", "jackson", "delta", "fock"), default=None)

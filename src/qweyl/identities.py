@@ -761,9 +761,14 @@ def catalog_cases(config: SuiteConfig):
     """(case, expected-status) pairs for the chosen catalog, in run order.
 
     ``ids`` and ``variants`` narrow the list to specific catalog tags and
-    variant labels.
+    variant labels.  ``params`` bind the core rows only: the errata and
+    extended catalogs fix their own relations, so binding them is refused.
     """
     params = dict(config.params)
+    if params and config.catalog in ("errata", "extended"):
+        raise UnsupportedCaseError(
+            "--params binds the core catalog's relation only; the %s catalog fixes its own" % config.catalog
+        )
     if config.catalog == "core":
         pairs = _core_cases(config.max_n, params, config.seed)
     elif config.catalog == "errata":

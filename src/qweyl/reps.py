@@ -13,6 +13,12 @@ truncated basis, parameterized by an explicit exact sequence.  Everything is
 exact: the Jackson action on x^k is {k} x^(k-1) via the q-number polynomial,
 shifts expand binomially, and Fock matrix entries are Scalars.
 
+A basis check compares two linear operators on x^0..x^K.  It applies each
+operator once, to the generating polynomial G = sum of Y^k x^k over
+0 <= k <= K (``Poly1.basis_sum``), where Y is an internal variable of the
+coefficient field that no operator touches.  The image of x^k is the
+coefficient of Y^k in the result (``Poly1.basis_images``).
+
 ``fock_words_equal`` decides a word identity w1 == w2 from the q-oscillator
 Fock representation, where it is faithful, by counting the levels the a's act
 at; ``identities.verify`` settles the catalog's word identities with it.
@@ -248,13 +254,24 @@ def falling_factorial(n: int, step: Scalar) -> Poly1:
     return out
 
 
-def _images(op, K: int):
-    """op(x^0), ..., op(x^K), each computed when it is consumed."""
-    return (op(xpow(k)) for k in range(K + 1))
+def _images(op, K: int) -> list[Poly1]:
+    """[op(x^0), ..., op(x^K)] from one application of the linear op.
+
+    op acts on the generating polynomial G = sum of Y^k x^k over 0 <= k <= K;
+    by linearity op(G) = sum of Y^k op(x^k), so image k is the coefficient
+    of Y^k.
+    """
+    return op(Poly1.basis_sum(K, "x")).basis_images(K)
 
 
 def check_identity_on_basis(lhs_op, rhs_op, K: int) -> Verdict:
-    """Compare two concrete operators on the monomials x^0..x^K."""
+    """Compare two concrete operators on the monomials x^0..x^K.
+
+    Both operators must be linear, as every ``op_*`` combinator, ``realize``
+    and each ``PolyRep`` action are: each is applied once, to all basis
+    monomials at the same time (``_images``).  A nonlinear map may end in
+    ValueError; it never gets a meaningful verdict.
+    """
     return _compare_images(_images(lhs_op, K), _images(rhs_op, K))
 
 
@@ -597,7 +614,7 @@ def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
     if K is None:
         K = 3 * (n + 1) + 2
-    lhs_images = list(_images(lhs, K))
+    lhs_images = _images(lhs, K)
     verdict = _compare_images(lhs_images, _images(rhs, K))
     if not corrected and n == 1:
         alt = op_compose(b, b, a, a, b, b)  # d^2 x^2 d^2
@@ -680,7 +697,7 @@ def eq22_constant(n: int, K: int | None = None):
     lhs = _ladder(lambda f: _dminus(f).mul_x(), range(1, n + 1))
     rhs = op_compose(op_mulpoly(falling_factorial(n + 1, _D)), op_pow(_dminus, n + 1))
     # each side's images serve both the constant and the verdict
-    lhs_images, rhs_images = list(_images(lhs, K)), list(_images(rhs, K))
+    lhs_images, rhs_images = _images(lhs, K), _images(rhs, K)
     c = _images_factor(lhs_images, rhs_images)
     if c is None:
         return Verdict("fail", "no basis-independent constant"), None, False

@@ -17,10 +17,14 @@ of the two term maps, so equal values always compare equal.
 
 Polynomials are dicts from a packed exponent key to an ``int`` or
 ``fractions.Fraction``; the dict arithmetic lives in the plain-Python
-kernels of ``qweyl._kernels``.  A key has five fields: the four variables
-above and, on top of them, X, the variable of a ``Poly1``.  X is internal:
-a ``Poly1`` is one Scalar in p, q, A, d and X whose denominator is free of
-X, and no Scalar outside ``Poly1`` ever carries it.
+kernels of ``qweyl._kernels``.  A key has six fields: the four variables
+above, X on top of them and Y below them.  Both are internal, never parsed
+and never rendered.  X is the variable of a ``Poly1``: a ``Poly1`` is one
+Scalar in p, q, A, d and X whose denominator is free of X, and no Scalar
+outside ``Poly1`` ever carries it.  Y tags basis vectors: a representation
+check applies its operators once to ``Poly1.basis_sum``, the sum of
+Y^k x^k over 0 <= k <= K, and ``Poly1.basis_images`` splits the result by
+the power of Y into X-polynomials free of Y.
 """
 
 from __future__ import annotations
@@ -70,13 +74,14 @@ class NotDivisibleError(ScalarError):
 # ---------------------------------------------------------------------------
 # packed exponent keys
 #
-# Five fields, most significant first: X, p, q, A, d.  p, A and d exponents
+# Six fields, most significant first: X, p, q, A, d, Y.  p, A and d exponents
 # (0.._EXP_LIMIT) need 19 bits; q (-_EXP_LIMIT.._EXP_LIMIT) is stored biased
-# by _QOFF as 1..2^20 - 1 and needs 20; X, the degree in a Poly1's variable
-# (0.._X_LIMIT), needs 20, as many as the N field of a PBW key.  Each field has
-# one guard bit on top, clear in every key, so p, A and d take 20 bits and q
-# and X take 21 (Monagan and Pearce, CASC 2007).  X sits above p, so a key
-# without X has the same value as it had before X existed.  Adding two keys
+# by _QOFF as 1..2^20 - 1 and needs 20; X, the degree in a Poly1's variable,
+# and Y, the index of a basis vector (both 0.._X_LIMIT), need 20, as many as
+# the N field of a PBW key.  Each field has one guard bit on top, clear in
+# every key, so p, A and d take 20 bits and q, X and Y take 21 (Monagan and
+# Pearce, CASC 2007).  X sits above p, so the degree of a key is its top
+# bits; Y sits below d, so keys without Y keep their order.  Adding two keys
 # and subtracting KEY_ONE multiplies the monomials; a field sum then never
 # carries into the next field, and one out of range sets its guard bit.  A
 # biased q below 0 borrows from the field above, which sets the q guard bit
@@ -85,32 +90,37 @@ class NotDivisibleError(ScalarError):
 # key formed by a product, a quotient or a q shift of in-range keys.
 
 VAR_NAMES = ("p", "q", "A", "d")
-_NVARS = 5  # VAR_NAMES, then X
+_NVARS = 6  # VAR_NAMES, then X and Y
 _X = 4  # the index of X's field
-_FIELD_BITS = (20, 21, 20, 20, 21)
-_SHIFTS = (61, 40, 20, 0, 81)  # the widths of the fields below each one, summed
+_Y = 5  # the index of Y's field
+_FIELD_BITS = (20, 21, 20, 20, 21, 21)
+_SHIFTS = (82, 61, 41, 21, 102, 0)  # the widths of the fields below each one, summed
 _FIELD_MASK = (1 << min(_FIELD_BITS)) - 1  # reads any in-range field: its guard bit is clear
 _KEY_BITS = _SHIFTS[_X] + _FIELD_BITS[_X]
 _QOFF = 1 << 19
 _EXP_LIMIT = (1 << 19) - 1
-_X_LIMIT = (1 << 20) - 1
+_X_LIMIT = (1 << 20) - 1  # the limit of X and of Y
 
 Q_UNIT = 1 << _SHIFTS[1]  # the key step of one power of q
 X_UNIT = 1 << _SHIFTS[_X]  # the key step of one power of X
+Y_UNIT = 1 << _SHIFTS[_Y]  # the key step of one power of Y
 KEY_ONE = _QOFF * Q_UNIT  # all exponents zero
 _GUARDS = sum(1 << (s + w - 1) for s, w in zip(_SHIFTS, _FIELD_BITS))
 _X_GUARD = X_UNIT << (_FIELD_BITS[_X] - 1)
+_Y_GUARD = Y_UNIT << (_FIELD_BITS[_Y] - 1)
 
 
-def _pack(ep: int, eq: int, ea: int, ed: int, ex: int = 0) -> int:
+def _pack(ep: int, eq: int, ea: int, ed: int, ex: int = 0, ey: int = 0) -> int:
     if not (0 <= ep <= _EXP_LIMIT and 0 <= ea <= _EXP_LIMIT and 0 <= ed <= _EXP_LIMIT):
         raise ScalarError("exponent out of range (p, A, d must be 0..%d)" % _EXP_LIMIT)
     if not (-_QOFF < eq <= _EXP_LIMIT):
         raise ScalarError("q exponent out of range")
     if not 0 <= ex <= _X_LIMIT:
         raise ScalarError(_DEGREE_MSG)
-    sp, sq, sa, sd, sx = _SHIFTS
-    return (ex << sx) | (ep << sp) | ((eq + _QOFF) << sq) | (ea << sa) | (ed << sd)
+    if not 0 <= ey <= _X_LIMIT:
+        raise ScalarError(_BASIS_MSG)
+    sp, sq, sa, sd, sx, sy = _SHIFTS
+    return (ex << sx) | (ep << sp) | ((eq + _QOFF) << sq) | (ea << sa) | (ed << sd) | (ey << sy)
 
 
 _RANGE_MSG = (
@@ -118,26 +128,29 @@ _RANGE_MSG = (
     % ((_EXP_LIMIT,) * 3)
 )
 _DEGREE_MSG = "result exceeds the polynomial degree limit: degrees must stay in 0..%d" % _X_LIMIT
+_BASIS_MSG = "basis too large: a representation check covers x^0..x^K for K in 0..%d" % _X_LIMIT
 
 
-def _unpack(key: int) -> tuple[int, int, int, int, int]:
-    """The exponents of p, q, A, d and X, in the order of VAR_NAMES."""
-    sp, sq, sa, sd, sx = _SHIFTS
+def _unpack(key: int) -> tuple[int, int, int, int, int, int]:
+    """The exponents of p, q, A, d, X and Y, in the order of VAR_NAMES."""
+    sp, sq, sa, sd, sx, sy = _SHIFTS
     return (
         (key >> sp) & _FIELD_MASK,
         ((key >> sq) & _FIELD_MASK) - _QOFF,
         (key >> sa) & _FIELD_MASK,
         (key >> sd) & _FIELD_MASK,
         key >> sx,
+        (key >> sy) & _FIELD_MASK,
     )
 
 
 def _order_key(key: int) -> int:
     # graded-lex as one int: the total degree above the key, which itself
-    # compares as lex order on (X, p, q, A, d) because 0 <= key < 2^_KEY_BITS
-    sp, sq, sa, sd, sx = _SHIFTS
+    # compares as lex order on (X, p, q, A, d, Y) because 0 <= key < 2^_KEY_BITS
+    sp, sq, sa, sd, sx, sy = _SHIFTS
     m = _FIELD_MASK
     deg = (key >> sx) + ((key >> sp) & m) + ((key >> sq) & m) - _QOFF + ((key >> sa) & m) + ((key >> sd) & m)
+    deg += (key >> sy) & m
     return (deg << _KEY_BITS) + key
 
 
@@ -149,7 +162,7 @@ def _mp_checked(f: dict) -> dict:
     """
     for k in f:
         if (k | (k - Q_UNIT)) & _GUARDS:
-            raise ScalarError(_DEGREE_MSG if k >= _X_GUARD else _RANGE_MSG)
+            raise ScalarError(_DEGREE_MSG if k >= _X_GUARD else _BASIS_MSG if k & _Y_GUARD else _RANGE_MSG)
     return f
 
 
@@ -235,7 +248,7 @@ def _mp_divexact(f: dict, g: dict) -> dict:
     skipped.
 
     Leading terms are taken in plain integer order of the keys, which is lex
-    order on (X, p, q, A, d), not the graded-lex order of ``_mp_leading``.  Both
+    order on (X, p, q, A, d, Y), not the graded-lex order of ``_mp_leading``.  Both
     are monomial orders, and the quotient of an exact division, or the
     verdict that there is none, does not depend on which one drives it, so
     the cheap integer comparison is used here.  ``_mp_leading`` stays
@@ -466,7 +479,7 @@ def _taylor(num: dict, term: tuple[int, object], drop: int) -> dict:
         # by its exponents, because its key may overshoot a field's guard bit;
         # every key formed below is then a product of two in-range keys, which
         # _mp_checked decides exactly.
-        ep, eq, ea, ed, _ex = _unpack(ko)
+        ep, eq, ea, ed, _ex, _ey = _unpack(ko)
         if max(ep, ea, ed) * top > _EXP_LIMIT or not -_QOFF < eq * top <= _EXP_LIMIT:
             raise ScalarError(_RANGE_MSG)
     step = ko - KEY_ONE
@@ -882,7 +895,9 @@ class Poly1:
     X, so all coefficients share it, and Scalar's canonical form is also the
     polynomial's; equality, hashing and the arithmetic are Scalar's.  X never
     leaves this class: ``coeffs``, ``[i]`` and ``terms`` split the numerator
-    by its X field on demand and hand out reduced X-free Scalars.
+    by its X field on demand and hand out reduced X-free Scalars.  The key
+    field Y enters only through ``basis_sum`` and leaves through
+    ``basis_images``.
     """
 
     __slots__ = ("value", "var")
@@ -917,6 +932,34 @@ class Poly1:
     def monomial(c, k: int, var: str = "N") -> "Poly1":
         """c * var^k."""
         return Poly1._of(_times_x(Scalar.of(c), k), var)
+
+    @staticmethod
+    def basis_sum(K: int, var: str) -> "Poly1":
+        """G = Y^0 var^0 + Y^1 var^1 + ... + Y^K var^K, Y the internal basis field.
+
+        A linear operator maps G to the sum of Y^k times its image of var^k,
+        which ``basis_images`` splits off.  K past Y's field is refused
+        before any term is built.
+        """
+        if not 0 <= K <= _X_LIMIT:
+            raise ScalarError(_BASIS_MSG)
+        step = X_UNIT + Y_UNIT
+        return Poly1._of(Scalar({KEY_ONE + k * step: 1 for k in range(K + 1)}, None, _normalized=True), var)
+
+    def basis_images(self, K: int) -> list["Poly1"]:
+        """The coefficients of Y^0 .. Y^K, each a Y-free polynomial over this one's denominator.
+
+        For the image of ``basis_sum(K)`` under a linear operator, entry k
+        is the operator's image of var^k.  A term with Y past K shows that
+        the operator was not linear and raises ValueError.
+        """
+        parts: list[dict] = [{} for _ in range(K + 1)]
+        for k, v in self.value.num.items():
+            e = k & _FIELD_MASK  # Y is the bottom field
+            if e > K:
+                raise ValueError("operator is not linear: its image of the basis sum carries Y^%d, past K = %d" % (e, K))
+            parts[e][k - e] = v
+        return [Poly1._of(self._over_den(part), self.var) for part in parts]
 
     def degree(self):
         # X is the top field, so the largest key has the largest degree

@@ -319,6 +319,14 @@ def test_cli_suite_has_no_empty_catalog():
     assert r.stderr.startswith("usage: qweyl suite") and "invalid choice: 'none'" in r.stderr
 
 
+@pytest.mark.parametrize("catalog", ("errata", "extended"))
+def test_cli_suite_params_bind_only_the_core_rows(capsys, catalog):
+    # these catalogs fix their own relations; --params was ignored there
+    rc, out, err = cli_main(capsys, "suite", "--catalog", catalog, "--params", "q=1")
+    assert rc == 2 and not out
+    assert err == "error: --params binds the core catalog's relation only; the %s catalog fixes its own\n" % catalog
+
+
 def test_cli_params_binding():
     r = run_cli("normalize", "a*b", "--params", "p=1,q=2/3")
     assert r.returncode == 0
@@ -359,6 +367,8 @@ PINNED_JSON = (
     (("suite", "--params", "p=1,q=-1", "--format", "json"), 0, "97883c210e47f4e238b83d5a7d97379a9760ccf86e213080cdca1bcec8775a85"),
     (("suite", "--params", "p=0", "--format", "json"), 0, "1dd2185b830ea4e9ed1deb93b554038d1e097a92b82e7dbf20c0cc9651a98c7c"),
     (("rep-check", "--format", "json"), 0, "149ff6e8c6ea738bc0d35e4dcebbd079f33133b22fe08eae446bafc6086361e8"),
+    (("rep-check", "--n", "4", "--format", "json"), 0, "f7b7f9957499310dcb700667d503745dfb454a6e72d1d669a0adf2c67bf22d8c"),
+    (("rep-check", "--degree", "16", "--format", "json"), 0, "a19ac93d2ceaf0f0f2c899e4d5ecfdc27fb3fcb07dca7280bef88c970cf93b69"),
 )
 
 
@@ -545,6 +555,16 @@ def test_cli_huge_powers_exit_2_at_once(capsys, args, reason):
     assert time.perf_counter() - start < 1
     assert rc == 2
     assert reason in err and not out
+
+
+@pytest.mark.parametrize("args", [("--degree", "2000000"), ("--rep", "diff_ab", "--eq", "1a", "--degree", "2000000")])
+def test_cli_rep_check_basis_past_its_field_exits_2_at_once(capsys, args):
+    # still running after 15 s; the basis x^0..x^K is refused before it is built
+    start = time.perf_counter()
+    rc, out, err = cli_main(capsys, "rep-check", *args)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and not out
+    assert err == "error: basis too large: a representation check covers x^0..x^K for K in 0..1048575\n"
 
 
 @pytest.mark.parametrize("text, j, i", [("a*b^1500", 1, 1500), ("a^1500*b", 1500, 1)])

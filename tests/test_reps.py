@@ -1,6 +1,5 @@
 """Representation tests: relation table, realized identities, Fock matrices."""
 
-import collections
 import itertools
 import math
 import random
@@ -38,9 +37,12 @@ from qweyl.reps import (
     hq_fock,
     jackson,
     morphism_check,
+    op_add,
     op_compose,
     op_gen,
+    op_mulpoly,
     op_pow,
+    op_scale,
     realize,
     rep_relation_check,
     sequence_residual,
@@ -176,17 +178,21 @@ def test_eq1_second_as_printed_fails_with_cross_identity():
 
 
 def test_eq1_second_evaluates_each_side_once(monkeypatch):
-    # lhs, rhs and the cross identity d^2 x^2 d^2: three images of each x^k, not four
-    built = collections.Counter()
-    xpow_before = R.xpow
+    # lhs, rhs and the cross identity d^2 x^2 d^2: three operator applications,
+    # not four, each to the generating polynomial of x^0..x^8
+    applied = []
+    images_before = R._images
 
-    def counting_xpow(k):
-        built[k] += 1
-        return xpow_before(k)
+    def counting_images(op, K):
+        def counted(f):
+            applied.append(f.degree())
+            return op(f)
 
-    monkeypatch.setattr(R, "xpow", counting_xpow)
+        return images_before(counted, K)
+
+    monkeypatch.setattr(R, "_images", counting_images)
     v = eq1_second_check(1, corrected=False)
-    assert built == {k: 3 for k in range(9)}
+    assert applied == [8, 8, 8]
     # verdict and detail as recorded before the images were shared
     assert v.detail == "as printed, the left side equals d^2 x^2 d^2"
     assert [(k, d.text()) for k, d in v.residual] == [
@@ -247,8 +253,9 @@ def test_eq22_constant_found_and_differs(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_eq22_constant_evaluates_each_basis_vector_once_per_side(monkeypatch, n):
-    # the ladder (lhs) and the power of the backward difference (rhs) each see
-    # x^0..x^K once; their images give both the constant and the verdict
+    # the ladder (lhs) and the power of the backward difference (rhs) are each
+    # applied once, to the generating polynomial of x^0..x^K; their images give
+    # both the constant and the verdict
     seen = {"lhs": [], "rhs": []}
 
     def counted(side, op):
@@ -263,11 +270,69 @@ def test_eq22_constant_evaluates_each_basis_vector_once_per_side(monkeypatch, n)
     monkeypatch.setattr(R, "op_pow", lambda o, m: counted("rhs", pow_before(o, m)))
     verdict, c, matches_printed = eq22_constant(n)
     K = 4 * (n + 1) + 4
-    assert sorted(seen["lhs"]) == list(range(K + 1))
-    assert sorted(seen["rhs"]) == list(range(K + 1))
+    assert seen == {"lhs": [K], "rhs": [K]}
     # the values recorded before the images were shared
     assert (verdict.status, c.canonical(), matches_printed) == ("pass", "(1)/(1)", False)
     assert verdict.detail == "constant 1; printed d^%d differs" % (n + 1)
+
+
+# --- the images of x^0..x^K from one application ---------------------------------------
+
+
+def _per_image(op, K):
+    """The oracle: op applied to each monomial on its own."""
+    return [op(xpow(k)) for k in range(K + 1)]
+
+
+def _linear_operators():
+    """(label, operator) pairs: every kind of operator the basis checks apply."""
+    ops = []
+    rng = random.Random(18)
+    for name, rep in ALL_POLY_REPS().items():
+        a, b = op_gen(rep, "a"), op_gen(rep, "b")
+        ops += [(name + " a", a), (name + " b", b)]
+        for _ in range(3):
+            word = random_word(rng, rng.randint(1, 4))
+            ops.append(("%s realize %s" % (name, word), realize(rep.relation().word(word), rep)))
+        ops.append((name + " ladder", R._ladder(op_compose(b, a), (one, rep.sigma + one))))
+        ops.append((name + " pow", op_pow(op_compose(a, b), 3)))
+        # coefficients over two different denominators meet in one sum
+        ops.append((name + " fractions", op_add(op_scale(one / (P + Q), a), op_scale(one / (one + Q), b))))
+    ops.append(("falling factorial", op_mulpoly(falling_factorial(3, D))))
+    return ops
+
+
+def _split_mismatches(K):
+    return [label for label, op in _linear_operators() if R._images(op, K) != _per_image(op, K)]
+
+
+@pytest.mark.parametrize("K", (0, 1, 8, 22))
+def test_images_from_one_application_equal_the_per_image_oracle(K):
+    assert _split_mismatches(K) == []
+
+
+def _drops_a_term(split):
+    def broken(f, K):
+        num = dict(f.value.num)
+        del num[max(num)]
+        return split(Poly1._of(Scalar(num, f.value.den), f.var), K)
+
+    return broken
+
+
+def _reads_the_next_power(split):
+    return lambda f, K: split(f, K + 1)[1:]
+
+
+@pytest.mark.parametrize("breakage", (_drops_a_term, _reads_the_next_power))
+def test_the_per_image_oracle_catches_a_broken_split(monkeypatch, breakage):
+    monkeypatch.setattr(Poly1, "basis_images", breakage(Poly1.basis_images))
+    assert _split_mismatches(8) == [label for label, _op in _linear_operators()]
+
+
+def test_a_nonlinear_map_gets_no_verdict():
+    with pytest.raises(ValueError, match="not linear"):
+        check_identity_on_basis(lambda f: f * f, lambda f: f, 3)
 
 
 def test_op_pow_rejects_negative_powers():

@@ -350,14 +350,40 @@ _xexps = st.sampled_from((0, 1, 2**19, _X_LIMIT - 1, _X_LIMIT)) | st.integers(0,
 
 
 @settings(max_examples=300, deadline=None)
-@given(_exps, _qexps, _exps, _exps, _xexps)
-def test_pack_round_trip_with_the_polynomial_field(ep, eq, ea, ed, ex):
-    key = S._pack(ep, eq, ea, ed, ex)
-    assert S._unpack(key) == (ep, eq, ea, ed, ex)
+@given(_exps, _qexps, _exps, _exps, _xexps, _xexps)
+def test_pack_round_trip_with_the_polynomial_field(ep, eq, ea, ed, ex, ey):
+    key = S._pack(ep, eq, ea, ed, ex, ey)
+    assert S._unpack(key) == (ep, eq, ea, ed, ex, ey)
     assert not (key | (key - S.Q_UNIT)) & S._GUARDS
-    # X sits above the other four fields: a key without X keeps its value
-    assert key == S._pack(ep, eq, ea, ed) + ex * S.X_UNIT
+    # X sits above the four variables and Y below them: each adds its own step
+    assert key == S._pack(ep, eq, ea, ed) + ex * S.X_UNIT + ey * S.Y_UNIT
     assert S._mp_checked({key: 1})
+
+
+def test_basis_field_guard_bit_at_its_limit():
+    with pytest.raises(ScalarError, match="basis too large"):
+        S._pack(0, 0, 0, 0, 0, _X_LIMIT + 1)
+    top = S._pack(1, 0, 0, 0, 0, _X_LIMIT)
+    assert S._mp_checked({top: 1})
+    # a product key past Y's field sets Y's guard bit and nothing else
+    assert (top + S.Y_UNIT) & S._GUARDS == S._Y_GUARD
+    with pytest.raises(ScalarError, match="basis too large"):
+        S._mp_checked({top + S.Y_UNIT: 1})
+    with pytest.raises(ScalarError, match="basis too large"):
+        Poly1.basis_sum(_X_LIMIT + 1, "x")
+
+
+_yfree = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_yfree, min_size=2, max_size=12, unique=True))
+def test_keys_without_the_basis_field_sort_as_before_it(exps):
+    # graded-lex on (X, p, q, A, d) for _order_key, lex on the same fields for
+    # the plain int order that drives _mp_divexact
+    keys = {S._pack(ep, eq, ea, ed, ex): (ex, ep, eq, ea, ed) for ep, eq, ea, ed, ex in exps}
+    assert sorted(keys, key=S._order_key) == sorted(keys, key=lambda k: (sum(keys[k]), keys[k]))
+    assert sorted(keys) == sorted(keys, key=keys.get)
 
 
 def test_polynomial_field_guard_bit_at_the_degree_limit():
