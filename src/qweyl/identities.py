@@ -456,19 +456,26 @@ def sl2q_triple(relation: Relation | None = None, alpha: int | None = None, vari
 
     alpha=None keeps alpha symbolic through A; an integer alpha instantiates
     the q-numbers.  The p_scaled variant multiplies both constants by rho.
+    A vanishing 1 - sigma (symbolic alpha) or {2alpha+2} raises
+    UnsupportedCaseError.
     """
     rel = relation if relation is not None else hq()
     if rel.has_N:
         raise UnsupportedCaseError("the sl2q triple lives in the central-remainder relation")
     sig = rel.sigma
     if alpha is None:
-        al = (one - A) / (one - sig)
-        al1 = (one - sig * A) / (one - sig)
-        dbl = (one - sig**2 * A**2) / (one - sig)
+        den = one - sig
+        if den.is_zero():
+            raise UnsupportedCaseError("symbolic alpha needs 1 - sigma != 0")
+        al = (one - A) / den
+        al1 = (one - sig * A) / den
+        dbl = (one - sig**2 * A**2) / den
     else:
         al = rel.tau_number(alpha)
         al1 = rel.tau_number(alpha + 1)
         dbl = rel.tau_number(2 * alpha + 2)
+    if dbl.is_zero():
+        raise UnsupportedCaseError("{2 alpha + 2}_sigma vanishes")
     kappa = al * al1 / dbl
     scale = rel.rho if variant == "p_scaled" else one
     jplus = rel.word("bba") - (scale * al) * rel.gen("b")

@@ -13,6 +13,11 @@ truncated basis, parameterized by an explicit exact sequence.  Everything is
 exact: the Jackson action on x^k is {k} x^(k-1) via the q-number polynomial,
 shifts expand binomially, and Fock matrix entries are Scalars.
 
+A representation is given by its letter actions: ``PolyRep.a`` and
+``PolyRep.b``, or the Fock sequence s_n.  Each family applies letters in one
+place, its word action, and a normal form acts as the sum of c * (the word
+b^i a^j) over its terms (``realize``, ``fock_matrix``).
+
 A basis check compares two linear operators on x^0..x^K.  It applies each
 operator once, to the generating polynomial G = sum of Y^k x^k over
 0 <= k <= K (``Poly1.basis_sum``), where Y is an internal variable of the
@@ -55,7 +60,6 @@ __all__ = [
     "morphism_check",
     "check_identity_on_basis",
     "xpow",
-    "op_gen",
     "op_compose",
     "op_add",
     "op_sub",
@@ -89,16 +93,6 @@ def xpow(k: int) -> Poly1:
     return Poly1.monomial(one, k, "x")
 
 
-def _shift(f: Poly1, step: Scalar) -> Poly1:
-    """f(x + step), expanded exactly."""
-    return f.compose_affine(one, step)
-
-
-def _dplus(f: Poly1) -> Poly1:
-    # (f(x+d) - f(x))/d
-    return f.difference(_D)
-
-
 def _dminus(f: Poly1) -> Poly1:
     # (f(x) - f(x-d))/d, which is (f(x-d) - f(x))/(-d)
     return f.difference(-_D)
@@ -112,22 +106,18 @@ def _u_backward(f: Poly1) -> Poly1:
 class PolyRep:
     """A generator assignment with its recorded relation parameters.
 
-    ``a`` and ``b`` are the actions of the two generators on Q[x].
+    ``a`` and ``b`` are the actions of the two generators on Q[x], called as
+    ``rep.a(f)``.
     """
 
-    __slots__ = ("kind", "sigma", "rho", "_actions")
+    __slots__ = ("kind", "sigma", "rho", "a", "b")
 
     def __init__(self, kind: str, sigma: Scalar, rho: Scalar, a, b):
         self.kind = kind
         self.sigma = sigma
         self.rho = rho
-        self._actions = {"a": a, "b": b}
-
-    def apply(self, gen: str, f: Poly1) -> Poly1:
-        action = self._actions.get(gen)
-        if action is None:
-            raise ParameterMismatchError("polynomial representations know a and b only")
-        return action(f)
+        self.a = a
+        self.b = b
 
     def relation(self) -> Relation:
         """The engine relation this representation satisfies."""
@@ -151,7 +141,7 @@ def jackson() -> PolyRep:
 
 def delta_rep() -> PolyRep:
     """a = (shift(+d) - 1)/d, b = x*shift(-d)."""
-    return PolyRep("delta", one, one, _dplus, lambda f: _shift(f, -_D).mul_x())
+    return PolyRep("delta", one, one, lambda f: f.difference(_D), lambda f: f.compose_affine(one, -_D).mul_x())
 
 
 def ALL_POLY_REPS() -> dict[str, PolyRep]:
@@ -165,13 +155,18 @@ def ALL_POLY_REPS() -> dict[str, PolyRep]:
 
 def rep_relation_check(rep: PolyRep, K: int) -> Verdict:
     """(a b - sigma b a - rho) x^k = 0 for 0 <= k <= K."""
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
-    rhs = op_add(op_scale(rep.sigma, op_compose(b, a)), op_scale(rep.rho, _op_id))
-    return check_identity_on_basis(op_compose(a, b), rhs, K)
+    rhs = op_add(op_scale(rep.sigma, _word_op(rep, "ba")), op_scale(rep.rho, _op_id))
+    return check_identity_on_basis(_word_op(rep, "ab"), rhs, K)
+
+
+def _word_op(rep: PolyRep, word: str):
+    """The operator of a word in a and b: its letters' actions, the last letter first."""
+    actions = {"a": rep.a, "b": rep.b}
+    return op_compose(*(actions[ch] for ch in word))
 
 
 def realize(x: NormalForm, rep: PolyRep):
-    """The concrete operator for a normal form; parameters must match."""
+    """The operator sum of c * (the word b^i a^j) over x's terms; parameters must match."""
     if x.rel.has_N:
         raise ParameterMismatchError("polynomial representations carry no N")
     if not (x.rel.sigma == rep.sigma and x.rel.rho == rep.rho):
@@ -179,17 +174,12 @@ def realize(x: NormalForm, rep: PolyRep):
             "normal form under %s but representation records sigma=%s rho=%s"
             % (x.rel.describe(), rep.sigma, rep.rho)
         )
-    terms = list(x.items())
+    terms = [(_word_op(rep, "b" * i + "a" * j), c) for (i, _m, j), c in x.items()]
 
     def op(f: Poly1) -> Poly1:
         out = Poly1([], "x")
-        for (i, _m, j), c in terms:
-            g = f
-            for _ in range(j):
-                g = rep.apply("a", g)
-            for _ in range(i):
-                g = rep.apply("b", g)
-            out = out + g * c
+        for word_op, c in terms:
+            out = out + word_op(f) * c
         return out
 
     return op
@@ -198,14 +188,10 @@ def realize(x: NormalForm, rep: PolyRep):
 def morphism_check(word: str, rep: PolyRep, K: int) -> Verdict:
     """realize(nf(word)) vs direct letter-by-letter application on x^0..x^K."""
     via_nf = realize(rep.relation().word(word), rep)
-    return check_identity_on_basis(via_nf, op_compose(*(op_gen(rep, ch) for ch in word)), K)
+    return check_identity_on_basis(via_nf, _word_op(rep, word), K)
 
 
 # --- operator combinators (direct application, independent of the engine) ------
-
-
-def op_gen(rep: PolyRep, gen: str):
-    return lambda f: rep.apply(gen, f)
 
 
 def op_compose(*ops):
@@ -387,6 +373,8 @@ class FockMatrix:
         return self.L - self.letters
 
     def __add__(self, other):
+        if self.L != other.L:
+            raise TruncationError("matrix levels differ")
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, zero) + v
@@ -428,10 +416,11 @@ class FockMatrix:
         if self.L != other.L:
             return False
         w = min(self.window, other.window)
-        for c in range(w + 1):
-            if self.column(c) != other.column(c):
-                return False
-        return True
+
+        def windowed(m):
+            return {k: v for k, v in m.entries.items() if k[1] <= w}
+
+        return windowed(self) == windowed(other)
 
     def render_rows(self) -> list[list[str]]:
         """Row-major exact entries for golden comparisons."""
@@ -532,34 +521,29 @@ def fock_word_matrix(word: str, rep: FockRep) -> FockMatrix:
     """
     if len(word) + 2 > rep.L:
         raise TruncationError("word of length %d needs L >= %d" % (len(word), len(word) + 2))
+    return _word_matrix(word, rep, one)
+
+
+def _word_matrix(word: str, rep: FockRep, c: Scalar) -> FockMatrix:
+    """c times the word's matrix: each entry is the product of its s_k begun at c."""
     shift = word.count("b") - word.count("a")
     out: dict = {}
     for n in range(rep.L + 1):
         levels = _a_levels(word, n)
         if levels is not None and n + shift <= rep.L:
-            out[(n + shift, n)] = math.prod(map(rep.s, levels), start=one)
+            out[(n + shift, n)] = math.prod(map(rep.s, levels), start=c)
     return FockMatrix(out, rep.L, len(word))
 
 
 def fock_matrix(x: NormalForm, rep: FockRep) -> FockMatrix:
-    """Matrix of a normal form, term by term; ``fock_word_matrix`` takes words."""
+    """Matrix of a normal form: the sum of c * (the word b^i a^j) over its terms."""
     if x.rel.has_N:
         raise ParameterMismatchError("diagonal Fock matrices cover N-free relations")
     letters = max((i + j for (i, _m, j), _c in x.items()), default=0)
     if letters + 2 > rep.L:
         raise TruncationError("normal form needs L >= %d" % (letters + 2))
-    out: dict = {}
-    for (i, _m, j), c in x.items():
-        for n in range(j, rep.L + 1):
-            row = n - j + i
-            if row > rep.L:
-                continue
-            coeff = c
-            for t in range(j):
-                coeff = coeff * rep.s(n - t)
-            if coeff:
-                out[(row, n)] = out.get((row, n), zero) + coeff
-    return FockMatrix(out, rep.L, letters)
+    terms = (_word_matrix("b" * i + "a" * j, rep, c) for (i, _m, j), c in x.items())
+    return sum(terms, FockMatrix({}, rep.L, letters))
 
 
 def sequence_residual(f: Poly1, rep: FockRep) -> list[Scalar]:
@@ -595,7 +579,7 @@ def _ladder(T, constants):
 def eq1_first_check(n: int, K: int | None = None) -> Verdict:
     """(x^2 d/dx - n x)^(n+1) = x^(2n+2) (d/dx)^(n+1)."""
     rep = diff_ab()
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     lhs = op_pow(op_sub(op_compose(b, b, a), op_scale(n, b)), n + 1)
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
     return check_identity_on_basis(lhs, rhs, 3 * (n + 1) + 2 if K is None else K)
@@ -608,7 +592,7 @@ def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
     left side equals d^2 x^2 d^2 instead.  With the plus sign it holds.
     """
     rep = diff_ba()  # a = x, b = d/dx
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     combine = op_add if corrected else op_sub
     lhs = op_pow(combine(op_compose(b, b, a), op_scale(n, b)), n + 1)
     rhs = op_compose(op_pow(b, 2 * n + 2), op_pow(a, n + 1))
@@ -625,7 +609,7 @@ def eq1_second_check(n: int, corrected: bool, K: int | None = None) -> Verdict:
 
 def eq2_check(rep: PolyRep, n: int, form: str, K: int | None = None) -> Verdict:
     """(bab)^n = b^n a^n b^n (form 'a') or (aba)^n = a^n b^n a^n (form 'b')."""
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     if K is None:
         K = 3 * n + 2 if rep.kind.startswith("diff") else 6 * n + 4
     if form == "a":
@@ -645,7 +629,7 @@ def eq2_check(rep: PolyRep, n: int, form: str, K: int | None = None) -> Verdict:
 def eq3_check(n: int, K: int | None = None) -> Verdict:
     """x d (x d - 1) ... (x d - n) = x^(n+1) d^(n+1)."""
     rep = diff_ab()
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     lhs = _ladder(op_compose(b, a), range(1, n + 1))
     rhs = op_compose(op_pow(b, n + 1), op_pow(a, n + 1))
     return check_identity_on_basis(lhs, rhs, 2 * (n + 1) + 2 if K is None else K)
@@ -679,7 +663,7 @@ def eq4_check(n: int, K: int | None = None) -> Verdict:
 def eq20_check(n: int, K: int | None = None) -> Verdict:
     """x D (x D - {1}) ... (x D - {n}) = q^(n(n+1)/2) x^(n+1) D^(n+1)."""
     rep = jackson()
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     lhs = _ladder(op_compose(b, a), (qnum(k) for k in range(1, n + 1)))
     rhs = op_scale(_Q ** (n * (n + 1) // 2), op_compose(op_pow(b, n + 1), op_pow(a, n + 1)))
     verdict = check_identity_on_basis(lhs, rhs, 4 * (n + 1) + 4 if K is None else K)

@@ -389,6 +389,28 @@ def test_sl2q_symbolic_alpha_specializes(rel, variant):
             assert got == getattr(concrete, name), (n, name)
 
 
+@pytest.mark.parametrize("variant", ("as_stated", "p_scaled"))
+def test_lem3_symbolic_alpha_at_sigma_one_is_unsupported(variant):
+    with pytest.raises(UnsupportedCaseError, match="1 - sigma"):
+        verify(IdentityCase("LEM3", W.hq(q=1), n=-1, variant=variant))
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_lem3_vanishing_double_q_number_is_unsupported(n):
+    with pytest.raises(UnsupportedCaseError, match="2 alpha"):
+        verify(IdentityCase("LEM3", W.hq(q=-1), n=n))
+
+
+def test_run_cases_goes_on_after_an_unsupported_lem3():
+    cases = [IdentityCase("LEM3", W.hq(q=1), n=-1), IdentityCase("LEM3", W.hq(p=1))]
+    report = I.run_cases(
+        (c.id, c.args(), c.variant, {}, "pass", lambda c=c: verify(c)) for c in cases
+    )
+    bad, good = report.cases
+    assert (bad.status, bad.detail) == ("fail", "unsupported: symbolic alpha needs 1 - sigma != 0")
+    assert good.status == "pass"
+
+
 def test_sl2q_scaled_relations_hold():
     t = sl2q_triple(W.hq(p=1))
     res = sl2q_solve(t)

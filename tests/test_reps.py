@@ -39,7 +39,6 @@ from qweyl.reps import (
     morphism_check,
     op_add,
     op_compose,
-    op_gen,
     op_mulpoly,
     op_pow,
     op_scale,
@@ -74,7 +73,7 @@ def test_diff_ba_oracle():
     rep = diff_ba()
     for k in range(6):
         f = xpow(k)
-        lhs = rep.apply("a", rep.apply("b", f)) - rep.apply("b", rep.apply("a", f))
+        lhs = rep.a(rep.b(f)) - rep.b(rep.a(f))
         assert lhs == f * (-one)
 
 
@@ -82,23 +81,26 @@ def test_diff_ba_oracle():
 
 
 def test_jackson_action_on_monomial():
-    assert jackson().apply("a", xpow(3)) == xpow(2) * qnum(3)
-    assert jackson().apply("b", xpow(3)) == xpow(4)
+    assert jackson().a(xpow(3)) == xpow(2) * qnum(3)
+    assert jackson().b(xpow(3)) == xpow(4)
 
 
 def test_delta_forward_difference():
-    got = delta_rep().apply("a", xpow(2))
+    got = delta_rep().a(xpow(2))
     assert got == Poly1([D, Scalar.of(2)], "x")  # 2x + d
 
 
 def test_diff_kills_constants():
-    assert diff_ab().apply("a", xpow(0)).is_zero()
+    assert diff_ab().a(xpow(0)).is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(ALL_POLY_REPS()))
 def test_poly_reps_know_a_and_b_only(name):
+    rep = ALL_POLY_REPS()[name]
+    with pytest.raises(W.WordError):
+        morphism_check("aNb", rep, 2)
     with pytest.raises(ParameterMismatchError):
-        ALL_POLY_REPS()[name].apply("N", xpow(1))
+        realize(W.extended().word("ab"), rep)
 
 
 def test_delta_two_constructors_agree():
@@ -109,7 +111,7 @@ def test_delta_two_constructors_agree():
         dminus = (f - f.compose_affine(one, -D)) * (one / D)
         explicit = (f - dminus * D)
         explicit = Poly1([zero] + explicit.coeffs, "x") if explicit.coeffs else explicit
-        assert shift_form.apply("b", f) == explicit
+        assert shift_form.b(f) == explicit
 
 
 # --- realize / morphism ------------------------------------------------------------------
@@ -137,7 +139,7 @@ def test_realize_jackson_ab():
     op = realize(rel.word("ab"), jackson())
     for k in range(6):
         # oracle: apply-twice composition
-        direct = jackson().apply("a", jackson().apply("b", xpow(k)))
+        direct = jackson().a(jackson().b(xpow(k)))
         assert op(xpow(k)) == direct == xpow(k) * qnum(k + 1)
 
 
@@ -146,7 +148,7 @@ def test_realize_parameter_mismatch():
     with pytest.raises(ParameterMismatchError):
         realize(nf, diff_ab())
     bound = nf.substitute({"p": 1, "q": 1})
-    assert realize(bound, diff_ab())(xpow(1)) == xpow(1) + diff_ab().apply("b", diff_ab().apply("a", xpow(1)))
+    assert realize(bound, diff_ab())(xpow(1)) == xpow(1) + diff_ab().b(diff_ab().a(xpow(1)))
 
 
 def test_morphism_examples():
@@ -236,7 +238,7 @@ def test_eq20_symbolic_q(n):
 def test_eq20_example_n2():
     # xD(xD-{1})(xD-{2}) = q^3 x^3 D^3 on low monomials
     rep = jackson()
-    a, b = op_gen(rep, "a"), op_gen(rep, "b")
+    a, b = rep.a, rep.b
     T = op_compose(b, a)
     lhs = op_compose(T, lambda f: T(f) - f * qnum(1), lambda f: T(f) - f * qnum(2))
     rhs = lambda f: op_compose(b, b, b, a, a, a)(f) * Q**3
@@ -289,7 +291,7 @@ def _linear_operators():
     ops = []
     rng = random.Random(18)
     for name, rep in ALL_POLY_REPS().items():
-        a, b = op_gen(rep, "a"), op_gen(rep, "b")
+        a, b = rep.a, rep.b
         ops += [(name + " a", a), (name + " b", b)]
         for _ in range(3):
             word = random_word(rng, rng.randint(1, 4))
@@ -336,7 +338,7 @@ def test_a_nonlinear_map_gets_no_verdict():
 
 
 def test_op_pow_rejects_negative_powers():
-    b = op_gen(diff_ab(), "b")
+    b = diff_ab().b
     with pytest.raises(ValueError):
         op_pow(b, -1)
     assert op_pow(b, 0)(xpow(2)) == xpow(2)
@@ -373,6 +375,45 @@ def test_fock_matrix_word_vs_nf_symbolic():
     rep = hq_fock(L=10)
     for word in ("ab", "ba", "abba", "babab"):
         assert fock_matrix(rel.word(word), rep).windowed_equal(fock_word_matrix(word, rep))
+
+
+def _diag(L, letters, *cols):
+    """A truncated matrix with a unit entry on the diagonal at each of cols."""
+    return R.FockMatrix({(c, c): one for c in cols}, L, letters)
+
+
+def test_windowed_equal_ignores_the_column_past_the_window():
+    assert _diag(6, 2, 0, 5).windowed_equal(_diag(6, 2, 0))  # window 4
+    assert _diag(6, 2, 0).windowed_equal(_diag(6, 2, 0, 5))
+
+
+def test_windowed_equal_catches_a_difference_in_the_last_window_column():
+    assert not _diag(6, 2, 0, 4).windowed_equal(_diag(6, 2, 0))
+    assert not _diag(6, 2, 0).windowed_equal(_diag(6, 2, 0, 4))
+    assert not _diag(6, 2, 4).windowed_equal(R.FockMatrix({(4, 4): Scalar.of(2)}, 6, 2))
+
+
+def test_windowed_equal_needs_equal_levels():
+    assert not _diag(6, 2, 0).windowed_equal(_diag(7, 2, 0))
+
+
+def test_windowed_equal_takes_the_smaller_window():
+    # windows 5 and 3: column 4 is outside the smaller one, column 3 inside
+    assert _diag(6, 1, 4).windowed_equal(_diag(6, 3))
+    assert _diag(6, 3).windowed_equal(_diag(6, 1, 4))
+    assert not _diag(6, 1, 3).windowed_equal(_diag(6, 3))
+    assert not _diag(6, 3).windowed_equal(_diag(6, 1, 3))
+
+
+def test_fock_sum_refuses_mixed_levels():
+    m6 = fock_word_matrix("ab", hq_fock(p=1, q=2, L=6))
+    m9 = fock_word_matrix("ab", hq_fock(p=1, q=2, L=9))
+    for combine in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(TruncationError, match="matrix levels differ"):
+            combine(m6, m9)
+        with pytest.raises(TruncationError, match="matrix levels differ"):
+            combine(m9, m6)
+    assert (m6 - m6).entries == {}
 
 
 def test_fock_truncation_guard():
