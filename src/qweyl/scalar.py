@@ -304,12 +304,13 @@ def _mp_divexact(f: dict, g: dict) -> dict:
     return out
 
 
-def _mp_int(f: dict) -> dict:
-    """Scale to integer coefficients (the scale is irrelevant for gcd)."""
-    lcm = 1
-    for v in f.values():
-        if isinstance(v, Fraction):
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+def _den_lcm(f: dict) -> int:
+    return math.lcm(*(v.denominator for v in f.values() if isinstance(v, Fraction)))
+
+
+def _mp_int(f: dict, lcm: int = 0) -> dict:
+    """f times ``lcm``, or times the lcm of its own denominators: integer coefficients."""
+    lcm = lcm or _den_lcm(f)
     if lcm == 1:
         return {k: int(v) for k, v in f.items()}
     return {k: int(v * lcm) for k, v in f.items()}
@@ -454,8 +455,128 @@ def _mp_gcd_int(f: dict, g: dict) -> dict:
     return result
 
 
-def _mp_gcd(f: dict, g: dict) -> dict:
-    return _mp_gcd_int(_mp_int(f), _mp_int(g))
+_HEU_BITS = 1 << 16  # the largest evaluated operand, in bits: CPython's int gcd is quadratic
+_HEU_TRIES = 6  # evaluation points per variable before the heuristic gives up
+
+
+def _mp_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, a, b): h = gcd(f, g) up to a unit, and a/b = f/g with a = c*f/h, b = c*g/h.
+
+    f and g are non-Laurent; c is one nonzero rational, the lcm that scales
+    both to integer coefficients.  The heuristic gcd of Char, Geddes and
+    Gonnet (J. Symb. Comput. 7 (1989) 31; analysed by Liao and Fateman,
+    ISSAC 1995) runs first, ``_heu_gcd``: one integer gcd of the operands
+    evaluated at powers of two, and the exact divisions that accept its
+    candidate are the cofactors.  The primitive PRS gcd ``_mp_gcd_int`` is
+    the fallback, when an evaluated operand would pass ``_HEU_BITS`` bits or
+    ``_HEU_TRIES`` points fail for one variable.
+    """
+    lcm = math.lcm(_den_lcm(f), _den_lcm(g))
+    f, g = _mp_int(f, lcm), _mp_int(g, lcm)
+    uf, ug = _mp_used(f), _mp_used(g)
+    fields = [
+        (s, _QOFF if i == 1 else 0) for i, s in enumerate(_SHIFTS) if (uf >> s) & _FIELD_MASK and (ug >> s) & _FIELD_MASK
+    ]
+    found = _heu_gcd(f, g, fields)
+    if found is not None:
+        return found
+    h = _mp_gcd_int(f, g)
+    if h == _MP_ONE:
+        return h, f, g
+    return h, _mp_divexact(f, h), _mp_divexact(g, h)
+
+
+def _mp_used(f: dict) -> int:
+    """The key bits in which some term of f differs from the constant term."""
+    used = 0
+    for k in f:
+        used |= k ^ KEY_ONE
+    return used
+
+
+def _heu_gcd(f: dict, g: dict, fields: list) -> tuple[dict, dict, dict] | None:
+    """(h, f/h, g/h) for h = gcd(f, g), content included; None when it gives up.
+
+    f and g are nonzero integer term maps.  ``fields`` lists the (shift, q
+    offset) of each variable that both may use; every other variable is
+    used by one of them at most, so the gcd is free of it, and with no
+    field left the gcd is the gcd of the integer contents.  Otherwise the
+    first variable is set to xi = 2^B in the primitive parts, the gcd of the
+    two images comes from the remaining fields, and its symmetric xi-adic
+    digits, made primitive, are the candidate.  A candidate that divides
+    both is their gcd when xi >= 2*min(|f|, |g|) + 2 (the theorem of Char,
+    Geddes and Gonnet), so acceptance by exact division never returns a
+    wrong gcd.  xi is taken from the larger norm instead: an earlier field
+    set to a power of two can leave a large power of two in the
+    coefficients of one image only, and a smaller xi reads it as a power of
+    this variable.
+    """
+    cf, cg = _mp_icontent(f), _mp_icontent(g)
+    c = math.gcd(cf, cg)
+    if not fields:
+        return {KEY_ONE: c}, _mp_iquo(f, c), _mp_iquo(g, c)
+    f, g = _mp_iquo(f, cf), _mp_iquo(g, cg)
+    shift, off = fields[0]
+    top = max(((k >> shift) & _FIELD_MASK) - off for k in (*f, *g))
+    norm = max(map(abs, (*f.values(), *g.values())))
+    bits = -(-(2 * norm + 2).bit_length() // 8) * 8  # whole bytes, for _heu_digits
+    for _ in range(_HEU_TRIES):
+        if top * bits + norm.bit_length() > _HEU_BITS:
+            return None
+        found = _heu_gcd(_heu_eval(f, shift, off, bits), _heu_eval(g, shift, off, bits), fields[1:])
+        if found is None:
+            return None
+        h = _heu_digits(found[0], shift, bits)
+        if len(h) == 1 and KEY_ONE in h:
+            return {KEY_ONE: c}, _mp_iscale(f, cf // c), _mp_iscale(g, cg // c)
+        try:
+            a, b = _mp_divexact(f, h), _mp_divexact(g, h)
+        except NotDivisibleError:
+            pass
+        else:
+            return _mp_iscale(h, c), _mp_iscale(a, cf // c), _mp_iscale(b, cg // c)
+        bits += 8 * (1 + bits // 32)
+    return None
+
+
+def _heu_eval(f: dict, shift: int, off: int, bits: int) -> dict:
+    """f with the variable at ``shift`` set to 2^bits, its field cleared in every key."""
+    out: dict = {}
+    get = out.get
+    for k, v in f.items():
+        e = ((k >> shift) & _FIELD_MASK) - off
+        k -= e << shift
+        out[k] = get(k, 0) + (v << e * bits)
+    return out
+
+
+def _heu_digits(h: dict, shift: int, bits: int) -> dict:
+    """The primitive part of the polynomial in the variable at ``shift`` whose
+    coefficients are the symmetric 2^bits-adic digits of h's.
+
+    Adding the number whose every digit is 2^(bits-1) makes each digit
+    non-negative, so ``int.to_bytes`` reads them all at once.
+    """
+    width = bits >> 3
+    half = 1 << (bits - 1)
+    n = max(v.bit_length() for v in h.values()) // bits + 2
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    out = {}
+    for k, v in h.items():
+        digits = (v + bias).to_bytes(n * width, "little")
+        for j in range(n):
+            d = int.from_bytes(digits[j * width : (j + 1) * width], "little") - half
+            if d:
+                out[k + (j << shift)] = d
+    return _mp_iquo(out, _mp_icontent(out))
+
+
+def _mp_iquo(f: dict, c: int) -> dict:
+    return f if c == 1 else {k: v // c for k, v in f.items()}
+
+
+def _mp_iscale(f: dict, c: int) -> dict:
+    return f if c == 1 else {k: v * c for k, v in f.items()}
 
 
 def _taylor(num: dict, term: tuple[int, object], drop: int) -> dict:
@@ -554,6 +675,16 @@ def _mp_text(f: dict) -> str:
 
 
 def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical (num, den) of the quotient num/den.
+
+    Laurent powers of q move to the numerator; against a single term the
+    common monomial cancels by a shift, and otherwise ``_mp_gcd``, whose
+    cofactors are the reduced pair: the heuristic gcd of Char, Geddes and
+    Gonnet (1989, analysed by Liao and Fateman, 1995), or, for operands that
+    would evaluate past 2^16 bits or after failed points, the primitive PRS
+    gcd.  Dividing both by den's leading coefficient then fixes sign and
+    scale, so the result does not depend on which gcd ran.
+    """
     if not den:
         raise ScalarDivisionError("zero denominator")
     if not num:
@@ -570,10 +701,7 @@ def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
             num = {k - m: v for k, v in num.items()}
             den = {k - m: v for k, v in den.items()}
     else:
-        g = _mp_gcd(num, den)
-        if len(g) > 1 or next(iter(g)) != KEY_ONE:
-            num = _mp_divexact(num, g)
-            den = _mp_divexact(den, g)
+        _, num, den = _mp_gcd(num, den)
     if qnet:
         num = _mp_checked(_mp_qshift(num, qnet))
     c = den[_mp_leading(den)]
@@ -1100,18 +1228,41 @@ class Poly1:
         return Poly1._of(self._over_den(num), self.var)
 
     def q_derivative(self) -> "Poly1":
-        """The Jackson derivative: X^k -> {k} X^(k-1), {k} = 1 + q + ... + q^(k-1)."""
-        shift = _SHIFTS[_X]
-        out: dict = {}
-        get = out.get
+        """The Jackson derivative: X^k -> {k} X^(k-1), {k} = 1 + q + ... + q^(k-1).
+
+        Keys equal but in q form a q-line, which has one X exponent k.  The
+        image of a line is the running sum of its coefficients over windows
+        of k powers of q, so one walk over the sorted keys and the window
+        ends writes each output term once.  A window end is only compared,
+        never made a key: it may lie past the q field.
+        """
+        lines: dict = {}
+        qmask = _FIELD_MASK << _SHIFTS[1]
         for k, v in self.value.num.items():
-            low = k - X_UNIT
-            for kt in range(low, low + (k >> shift) * Q_UNIT, Q_UNIT):
-                s = get(kt, 0) + v
-                if s:
-                    out[kt] = s
-                else:
-                    del out[kt]
+            if k >= X_UNIT:
+                lines.setdefault(k & ~qmask, []).append((k - X_UNIT, v))
+        out: dict = {}
+        for terms in lines.values():
+            width = ((terms[0][0] >> _SHIFTS[_X]) + 1) * Q_UNIT  # k powers of q for X^(k-1)
+            if len(terms) == 1:
+                [(low, v)] = terms
+                out.update(dict.fromkeys(range(low, low + width, Q_UNIT), v))
+                continue
+            terms.sort()
+            n, pos, total = len(terms), terms[0][0], 0
+            i = j = 0  # the terms whose window starts next and ends next
+            while j < n:
+                end = terms[j][0] + width
+                nxt = terms[i][0] if i < n and terms[i][0] < end else end
+                if total:
+                    out.update(dict.fromkeys(range(pos, nxt, Q_UNIT), total))
+                pos = nxt
+                if i < n and terms[i][0] == nxt:
+                    total += terms[i][1]
+                    i += 1
+                if end == nxt:
+                    total -= terms[j][1]
+                    j += 1
         return Poly1._of(self._over_den(_mp_checked(out)), self.var)
 
     def mul_x(self) -> "Poly1":

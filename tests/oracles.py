@@ -16,12 +16,17 @@ reordering engine.
 ``word_identity_residual`` states the catalog's word identities on its own,
 as powers and products of normal forms, where the catalog states them as
 two words that the engine normal-orders letter by letter.
+
+``q_derivative_per_term`` is the Jackson derivative term by term: each key
+adds its coefficient to every key of its q-number, one at a time, where
+``Poly1.q_derivative`` walks running sums along q.
 """
 
 from fractions import Fraction
 
+from qweyl import scalar as S
 from qweyl.reps import FockMatrix, fock_word_matrix, hq_fock
-from qweyl.scalar import P, Q, one, zero
+from qweyl.scalar import P, Q, Poly1, one, zero
 from qweyl.weyl import commutator
 
 _RANK = {"b": 0, "N": 1, "a": 2}
@@ -213,3 +218,17 @@ def word_identity_residual(case):
             "THM2c": ([_block("ba", n)], [_block("ba", m)]),
         }[cid]
     return commutator(_product(rel, left), _product(rel, right))
+
+
+def q_derivative_per_term(f):
+    """The Jackson derivative X^k -> (1 + q + ... + q^(k-1)) X^(k-1), summed key by key."""
+    out = {}
+    for k, v in f.value.num.items():
+        low = k - S.X_UNIT
+        for kt in range(low, low + (k >> S._SHIFTS[S._X]) * S.Q_UNIT, S.Q_UNIT):
+            s = out.get(kt, 0) + v
+            if s:
+                out[kt] = s
+            else:
+                del out[kt]
+    return Poly1._of(f._over_den(S._mp_checked(out)), f.var)

@@ -369,6 +369,7 @@ PINNED_JSON = (
     (("rep-check", "--format", "json"), 0, "149ff6e8c6ea738bc0d35e4dcebbd079f33133b22fe08eae446bafc6086361e8"),
     (("rep-check", "--n", "4", "--format", "json"), 0, "f7b7f9957499310dcb700667d503745dfb454a6e72d1d669a0adf2c67bf22d8c"),
     (("rep-check", "--degree", "16", "--format", "json"), 0, "a19ac93d2ceaf0f0f2c899e4d5ecfdc27fb3fcb07dca7280bef88c970cf93b69"),
+    (("rep-check", "--n", "6", "--format", "json"), 0, "a63e81306007d8f80f1869f886f0893f96fd9462fbc19fbb0c90403e1b31dae8"),
 )
 
 
@@ -379,6 +380,14 @@ def test_cli_suite_json_byte_stable():
         payload = json.loads(r.stdout)
         assert payload["version"] == 1
         assert list(payload["cases"][0]) == ["id", "args", "variant", "params", "status", "residual", "millis"]
+
+
+def test_cli_normalize_json_of_a_high_degree_quotient_byte_stable():
+    # its gcd with 1 + q is 1; the heuristic gcd shows it with one integer gcd
+    r = run_cli("normalize", "(q^4000+1)*(1+q)^-1*a", "--format", "json")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == "bf0293a8536a74ec49791ec0280b2e5393d312546785f4e283c38e20e795cf4e"
+    assert "(q^4000 + 1)/(q + 1)*a" in r.stdout
 
 
 def test_cli_suite_core_seeded_determinism():

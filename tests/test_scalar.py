@@ -28,6 +28,7 @@ from qweyl.scalar import (
 )
 from qweyl.weyl import hq
 
+from oracles import q_derivative_per_term
 from test_kernels import ref_mul
 
 
@@ -407,6 +408,57 @@ def test_polynomial_field_guard_bit_at_the_degree_limit():
     with pytest.raises(ScalarError, match="q exponents"):
         Poly1.monomial(one, _LIMIT + 2, "x").q_derivative()
     assert Poly1.monomial(one, _LIMIT + 1, "x").q_derivative()[_LIMIT] == qnum(_LIMIT + 1)
+
+
+_JACKSON_KEYS = st.builds(
+    lambda ep, eq, ea, ex, ey: S._pack(ep, eq, ea, 0, ex, ey),
+    st.integers(0, 1),
+    st.integers(-3, 6) | st.sampled_from((400000, 400003)),
+    st.integers(0, 1),
+    st.integers(0, 6),
+    st.integers(0, 2),
+)
+_JACKSON_DENS = (None, (1 + P + A).num, (2 * P - A**2 + Fraction(1, 3)).num)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_JACKSON_KEYS, st.integers(-3, 3).filter(bool) | st.sampled_from([Fraction(1, 2), 3]), max_size=14),
+    st.sampled_from(_JACKSON_DENS),
+)
+@example({S._pack(0, 0, 0, 0, 3): 1, S._pack(0, 400000, 0, 0, 3): 2}, None)  # q^0 and q^400000 in one line
+@example({S._pack(0, e, 0, 0, 4): 1 for e in range(-3, 7)}, None)  # a dense line, windows overlapping
+@example({S._pack(0, e, 0, 0, 2): (-1) ** e for e in range(6)}, _JACKSON_DENS[1])  # running sums cancel
+@example({S._pack(1, 2, 1, 0, 5, 1): -1, S._pack(0, 2, 0, 0, 1, 2): 3}, _JACKSON_DENS[2])  # single-key lines with Y
+def test_q_derivative_matches_the_per_term_sum(num, den):
+    f = Poly1._of(Scalar(num, den) if num else zero, "x")
+    assert f.q_derivative() == q_derivative_per_term(f)
+
+
+def test_the_q4000_quotient_never_reaches_the_prs_gcd(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("the PRS gcd was reached")
+
+    monkeypatch.setattr(S, "_mp_gcd_int", refuse)
+    x = (Q**4000 + 1) * (1 + Q) ** -1
+    assert (x.num, x.den) == ((Q**4000 + 1).num, (1 + Q).num)
+    # q^4000 - 1 = (q + 1)(q^3999 - q^3998 + ... + q - 1): a gcd of 1 + q, divided out exactly
+    assert (Q**4000 - 1) / (1 + Q) == Scalar({S._pack(0, k, 0, 0): (-1) ** (k + 1) for k in range(4000)}, None, _normalized=True)
+
+
+def test_the_q300000_quotient_still_reaches_the_prs_gcd_and_is_refused(monkeypatch):
+    # evaluating q at 2^8 would give a 2.4-million-bit operand, past the heuristic's cap
+    calls = []
+    prs = S._mp_gcd_int
+
+    def spy(f, g):
+        calls.append(len(f) + len(g))
+        return prs(f, g)
+
+    monkeypatch.setattr(S, "_mp_gcd_int", spy)
+    with pytest.raises(ScalarError, match="exponent limit"):
+        (Q**300000 * A**2 + A + Q**300000) / (Q**300000 * A**2 + 2 * A + 1)
+    assert calls
 
 
 _mono = Scalar.variable

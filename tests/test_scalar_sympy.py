@@ -319,3 +319,81 @@ def test_poly1_actions_match_sympy(coeffs):
     # the Jackson derivative as a difference quotient, with no q-number in it
     jackson = sympy.cancel((twin.subs(X, q * X) - twin) / ((q - 1) * X))
     _assert_coefficients_match(f.q_derivative(), sympy.expand(jackson), n)
+
+
+# --- the heuristic gcd against sympy's, and against its own PRS fallback ---------------------
+
+_GCD_MAPS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4).map(lambda e: S._pack(*e)),
+    st.integers(-9, 9).filter(bool) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 10**30 + 7]),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _assert_gcd_matches_sympy(f: dict, g: dict):
+    """_mp_gcd(f, g) = (h, a, b): h is sympy's gcd up to a unit, a = c*f/h and b = c*g/h."""
+    h, a, b = S._mp_gcd(f, g)
+    expected = sympy.gcd(_sympy_map(f), _sympy_map(g))
+    unit = sympy.cancel(_sympy_map(h) / expected)
+    assert unit.is_number and unit != 0, (S._mp_text(h), expected)
+    c = sympy.cancel(_sympy_map(a) * _sympy_map(h) / _sympy_map(f))
+    assert c.is_number and c != 0
+    assert sympy.expand(_sympy_map(b) * _sympy_map(h) - c * _sympy_map(g)) == 0
+    return h
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GCD_MAPS, _GCD_MAPS, _GCD_MAPS)
+def test_gcd_matches_sympy_on_a_planted_factor(common, u, w):
+    _assert_gcd_matches_sympy(S._mp_mul(common, u), S._mp_mul(common, w))
+
+
+def test_gcd_tries_a_second_point_when_the_first_is_unlucky(monkeypatch):
+    # w's coefficients sum to 65537 = 2^16 + 1 at q = -1, so at the first point,
+    # xi = 2^16, both images share the prime xi + 1 besides the gcd's image
+    q = S.Q
+    w = sum(((-1) ** i * m * q**i for i, m in enumerate((9363, 9363, 9363, 9362, 9362, 9362, 9362))), S.zero)
+    f, g = ((q + 1) * (q + 2)).num, (w * (q + 2)).num
+    points = []
+    digits = S._heu_digits
+
+    def spy(h, shift, bits):
+        points.append(bits)
+        return digits(h, shift, bits)
+
+    monkeypatch.setattr(S, "_heu_digits", spy)
+    h = _assert_gcd_matches_sympy(f, g)
+    assert points == [16, 24]
+    assert len(h) == 2
+
+
+_MULTIPLIERS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)).map(lambda e: S._pack(*e)),
+    st.integers(-4, 4).filter(bool) | st.just(Fraction(3, 5)),
+    min_size=1,
+    max_size=3,
+)
+
+
+# small quotients: the PRS gcd can take minutes on the larger ones
+@settings(max_examples=60, deadline=None)
+@given(_quotients(4), _MULTIPLIERS)
+def test_heuristic_and_prs_gcd_give_one_scalar(pair, multiplier):
+    x, _twin = pair
+    if not x:
+        return
+    # the same value with a common factor, Laurent in q, reduced by each gcd
+    num, den = S._mp_mul(x.num, multiplier), S._mp_mul(x.den, multiplier)
+    assert S.Scalar(dict(num), dict(den)) == x
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_heu_gcd", lambda f, g, fields: None)
+        assert S.Scalar(dict(num), dict(den)) == x
+
+
+def test_q_laurent_quotient_matches_sympy():
+    q, p, a = S.Q, S.P, S.A
+    x = (q**-2 * (1 + q) * (p - q) * (q**3 - a)) / (q**3 * (1 + q) * (a + q) * (q**3 - a))
+    sq, sp, sa = SYMS["q"], SYMS["p"], SYMS["A"]
+    assert sympy.cancel(_sympy_of(x.canonical()) - (sp - sq) / (sq**5 * (sa + sq))) == 0
+    assert (x.num, x.den) == (((p - q) * q**-5).num, (a + q).num)
