@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .reps import fock_matrix, fock_words_equal, hq_fock
-from .scalar import A, Poly1, Scalar, ScalarError, one, zero
+from .scalar import A, Poly1, Scalar, ScalarError, common_ratio, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, extended, hq
 
@@ -348,16 +348,7 @@ def solve_scalar_factor(x: NormalForm, y: NormalForm):
         return one if x.is_zero() else None
     if x.is_zero():
         return zero
-    if set(x.terms) != set(y.terms):
-        return None
-    c = None
-    for key, cy in y.terms.items():
-        ratio = x.terms[key] / cy
-        if c is None:
-            c = ratio
-        elif c != ratio:
-            return None
-    return c
+    return common_ratio(x.terms, y.terms)
 
 
 # --- expansions in powers of ab (the two triangular-solve lemmas) --------------------
@@ -378,28 +369,22 @@ class AbPowerExpansion:
         """Sum c_k (ab)^k, each coefficient multiplying from the left."""
         rel = self.relation
         ab = rel.word("ab")
-        out = rel.scalar_nf(0)
-        for k, c in enumerate(self.coeffs):
-            lifted = rel.npoly_nf(c) if isinstance(c, Poly1) else rel.scalar_nf(c)
-            out = out + lifted * ab**k
+        out, power = rel.scalar_nf(0), rel.unit()
+        for c in self.coeffs:
+            out = out + rel.npoly_nf(c if isinstance(c, Poly1) else Poly1([c], "N")) * power
+            power = power * ab
         return out
-
-
-def _bands(x: NormalForm) -> dict[int, Poly1]:
-    out: dict[int, Poly1] = {}
-    for (i, m, j), c in x.items():
-        band = out.setdefault(j, Poly1([], "N"))
-        out[j] = band + Poly1.monomial(c, m)
-    return out
 
 
 def expand_in_ab_powers(x: NormalForm) -> AbPowerExpansion:
     """Write a grade-0 element as sum c_k (ab)^k by triangular elimination.
 
-    Coefficients multiply from the left; for the extended relation crossing
-    b^t composes them with the affine N-shift, which the solver applies
-    band by band.  The pivot of (ab)^k at b^k a^k is the constant
-    sigma^(k(k+1)/2), so each step divides by a Scalar and the coefficients
+    From the top a-degree k down, the remainder's band b^k N^m a^k, read as
+    a polynomial in N, is divided by the pivot of (ab)^k at b^k a^k, the
+    constant sigma^(k(k+1)/2).  For the extended relation the left factor
+    c_k(N) reaches that band as c_k(tau^k N + {k}), so the quotient is
+    shifted back by k letters.  Then c_k (ab)^k is subtracted through the
+    engine, which moves c_k across the b's of every band.  The coefficients
     stay polynomials in N; a pivot band that is not constant leaves a
     nonzero band behind and is reported as not expressible.
     """
@@ -411,27 +396,24 @@ def expand_in_ab_powers(x: NormalForm) -> AbPowerExpansion:
     powers = [rel.unit()]
     for _ in range(d):
         powers.append(powers[-1] * ab)
-    basis_bands = [_bands(p) for p in powers]
-    remainder = _bands(x)
+    remainder = x
     coeffs = [Poly1([], "N")] * (d + 1)
     for k in range(d, -1, -1):
-        r_k = remainder.get(k)
-        top = basis_bands[k].get(k)
-        if r_k is None or r_k.is_zero():
+        band = {m: c for (_i, m, j), c in remainder.items() if j == k}
+        if not band:
             continue
-        if top is None or top[0].is_zero():
+        pivot = powers[k].coefficient(k, 0, k)
+        if pivot.is_zero():
             raise NotExpressibleError("pivot band of (ab)^%d vanishes" % k)
-        c_k = r_k * (one / top[0])
+        c_k = Poly1([band.get(m, zero) for m in range(max(band) + 1)], "N") * (one / pivot)
         if rel.has_N and k:
-            # the solve above found c_k(tau^k N + {k}); undo the crossing shift
+            # the band holds c_k(tau^k N + {k}); undo the crossing shift
             tinv = rel.tau**-k
             c_k = c_k.compose_affine(tinv, -(rel.tau_number(k) * tinv))
         coeffs[k] = c_k
-        for t, band in basis_bands[k].items():
-            shifted = c_k.compose_affine(rel.tau**t, rel.tau_number(t)) if rel.has_N else c_k
-            remainder[t] = remainder.get(t, Poly1([], "N")) - shifted * band
-    leftover = {t: r for t, r in remainder.items() if not r.is_zero()}
-    if leftover:
+        remainder = remainder - rel.npoly_nf(c_k) * powers[k]
+    if remainder:
+        leftover = {j for (_i, _m, j), _c in remainder.items()}
         raise NotExpressibleError("nonzero residual after elimination: bands %s" % sorted(leftover))
     if not rel.has_N:
         return AbPowerExpansion([c[0] for c in coeffs], rel)

@@ -289,12 +289,8 @@ def evaluate(ast, rel: Relation) -> NormalForm:
             return rel.gen(ast[1])
         except WordError as exc:
             raise EvalError(str(exc)) from None
-    if kind == "sym":
-        return rel.scalar_nf(Scalar.variable(ast[1]))
-    if kind == "num":
-        return rel.scalar_nf(Scalar.of(ast[1]))
-    if kind == "qnum":
-        return rel.scalar_nf(qnum(ast[1]))
+    if kind in ("sym", "num", "qnum"):
+        return rel.scalar_nf(eval_scalar(ast))
     if kind in _CHAIN:
         return _fold(ast, lambda x: evaluate(x, rel))
     if kind == "neg":

@@ -42,7 +42,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .scalar import D as _D
-from .scalar import P as _P, Poly1, Q as _Q, Scalar, one, qnum, zero
+from .scalar import Poly1, Q as _Q, Scalar, common_ratio, one, qnum, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, heisenberg, hq
 
@@ -277,26 +277,10 @@ def _images_factor(us, vs):
     Basis vectors where both images vanish impose no constraint; a vector
     where exactly one vanishes rules a constant out.
     """
-    c = None
-    for u, v in zip(us, vs):
-        if u.is_zero() and v.is_zero():
-            continue
-        if v.is_zero() or u.is_zero():
-            return None
-        cus, cvs = u.coeffs, v.coeffs
-        for t in range(max(len(cus), len(cvs))):
-            cu = cus[t] if t < len(cus) else zero
-            cv = cvs[t] if t < len(cvs) else zero
-            if cu.is_zero() and cv.is_zero():
-                continue
-            if cv.is_zero():
-                return None
-            ratio = cu / cv
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-    return c
+    def terms(images):
+        return {(k, e): c for k, u in enumerate(images) for e, c in u.terms()}
+
+    return common_ratio(terms(us), terms(vs))
 
 
 # --- diagonal Fock representations ---------------------------------------------
@@ -325,14 +309,8 @@ class FockRep:
 
 def hq_fock(p=None, q=None, L: int = 12) -> FockRep:
     """The deformed-Heisenberg sequence s_n = rho * {n}; symbolic by default."""
-    rho = _P if p is None else Scalar.of(p)
-    qv = _Q if q is None else Scalar.of(q)
-    vals = []
-    acc = zero
-    for _ in range(L):
-        acc = acc * qv + one  # {n} = q {n-1} + 1
-        vals.append(rho * acc)
-    return FockRep(vals)
+    rel = hq(p, q)
+    return FockRep([rel.rho * rel.tau_number(n) for n in range(1, L + 1)])
 
 
 def affine_fock(alpha, beta, L: int = 12) -> FockRep:

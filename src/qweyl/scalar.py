@@ -202,13 +202,6 @@ def _mp_leading(f: dict) -> int:
     return max(f, key=_order_key)
 
 
-def _mp_uses(f: dict, idx: int) -> bool:
-    shift = _SHIFTS[idx]
-    if idx == 1:
-        return any((((k >> shift) & _FIELD_MASK) - _QOFF) != 0 for k in f)
-    return any(((k >> shift) & _FIELD_MASK) != 0 for k in f)
-
-
 def _mp_degrees(f: dict, idx: int) -> tuple[int, int]:
     """(min, max) exponent of variable idx over the terms of f."""
     shift = _SHIFTS[idx]
@@ -359,13 +352,6 @@ def _join_by_var(coeffs: list[dict], idx: int) -> dict:
     return out
 
 
-def _list_deg(u: list[dict]) -> int:
-    d = len(u) - 1
-    while d >= 0 and not u[d]:
-        d -= 1
-    return d
-
-
 def _list_content(u: list[dict]) -> dict:
     g: dict = {}
     for c in u:
@@ -382,21 +368,26 @@ def _list_primitive(u: list[dict]) -> list[dict]:
 
 
 def _prem(u: list[dict], w: list[dict]) -> list[dict]:
-    """Pseudo-remainder of u by w (both dense lists of term maps)."""
-    du, dw = _list_deg(u), _list_deg(w)
+    """Pseudo-remainder of u by w.
+
+    Both are dense lists of term maps with a nonzero last entry, so a list's
+    degree is its length minus one; the result is trimmed the same way.
+    """
+    dw = len(w) - 1
     lw = w[dw]
-    r = [dict(c) for c in u]
-    while True:
-        dr = _list_deg(r)
-        if dr < dw:
-            return [c for c in r[: dr + 1]]
-        lr = r[dr]
-        r = [_mp_mul(c, lw) if c else {} for c in r]
-        shift = dr - dw
-        for i in range(dw + 1):
+    r = list(u)
+    while len(r) > dw:
+        # r * lw - lr * x^shift * w cancels the top entry, which is dropped
+        lr = r.pop()
+        if lw != _MP_ONE:
+            r = [_mp_mul(c, lw) if c else {} for c in r]
+        shift = len(r) - dw
+        for i in range(dw):
             if w[i]:
                 r[i + shift] = _k.mpoly_sub(r[i + shift], _mp_mul(lr, w[i]))
-        r[dr] = {}
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def _mp_gcd_int(f: dict, g: dict) -> dict:
@@ -415,15 +406,17 @@ def _mp_gcd_int(f: dict, g: dict) -> dict:
         if c != 1:
             m = {k: c for k in m}
         return m
-    pvars = [i for i in range(_NVARS) if _mp_uses(f, i) or _mp_uses(g, i)]
+    uf, ug = _mp_used(f), _mp_used(g)
+    pvars = [i for i, s in enumerate(_SHIFTS) if ((uf | ug) >> s) & _FIELD_MASK]
     if not pvars:
         return _mp_const(math.gcd(_mp_icontent(f), _mp_icontent(g)))
     for i in pvars:
-        if not _mp_uses(f, i) or not _mp_uses(g, i):
+        s = _SHIFTS[i]
+        if not (uf >> s) & _FIELD_MASK or not (ug >> s) & _FIELD_MASK:
             # a variable only g uses (after the swap): the gcd is free of it,
             # so it is the gcd of f and g's coefficients in it.  A Poly1's
             # numerator against its X-free denominator takes this path.
-            if _mp_uses(f, i):
+            if (uf >> s) & _FIELD_MASK:
                 f, g = g, f
             for c in _split_by_var(g, i):
                 if c:
@@ -431,24 +424,16 @@ def _mp_gcd_int(f: dict, g: dict) -> dict:
             return f
     # pick the present variable with the smallest combined degree
     idx = min(pvars, key=lambda i: max(_mp_degrees(f, i)[1], _mp_degrees(g, i)[1]))
-    uf, ug = _split_by_var(f, idx), _split_by_var(g, idx)
-    cf, cg = _list_content(uf), _list_content(ug)
-    cont = _mp_gcd_int(cf, cg)
-    u = _list_primitive(uf)
-    w = _list_primitive(ug)
-    if _list_deg(u) < _list_deg(w):
+    lf, lg = _split_by_var(f, idx), _split_by_var(g, idx)
+    cont = _mp_gcd_int(_list_content(lf), _list_content(lg))
+    u = _list_primitive(lf)
+    w = _list_primitive(lg)
+    if len(u) < len(w):
         u, w = w, u
-    while True:
-        dw = _list_deg(w)
-        if dw < 0:
-            gcd_pp = u
-            break
-        if dw == 0:
-            gcd_pp = [_MP_ONE]
-            break
-        r = _prem(u, w)
-        u, w = w, _list_primitive([_mp_int(c) for c in r])
-    gcd_pp = _list_primitive(gcd_pp)
+    # every list ends in a nonzero entry: its degree is its length minus one
+    while len(w) > 1:
+        u, w = w, _list_primitive([_mp_int(c) for c in _prem(u, w)])
+    gcd_pp = [_MP_ONE] if w else _list_primitive(u)
     result = _join_by_var(gcd_pp, idx)
     if cont != _MP_ONE:
         result = _mp_mul(result, cont)
@@ -764,8 +749,8 @@ class Scalar:
         return Fraction(self.num[KEY_ONE])
 
     def uses(self, name: str) -> bool:
-        idx = VAR_NAMES.index(name)
-        return _mp_uses(self.num, idx) or _mp_uses(self.den, idx)
+        used = _mp_used(self.num) | _mp_used(self.den)
+        return bool((used >> _SHIFTS[VAR_NAMES.index(name)]) & _FIELD_MASK)
 
     def numerator_divisible_by(self, probe: "Scalar") -> bool:
         """Exact-division test of the numerator by a polynomial probe."""
@@ -945,6 +930,24 @@ def qnum(n: int) -> Scalar:
     if n - 1 > _EXP_LIMIT:
         raise ScalarError("q exponent out of range")
     return Scalar({KEY_ONE + e * Q_UNIT: 1 for e in range(n)}, None, _normalized=True)
+
+
+def common_ratio(xs: dict, ys: dict):
+    """The Scalar c with xs[k] = c * ys[k] for every key, or None.
+
+    Both maps hold nonzero Scalars.  None when their keys differ, when two
+    ratios differ, or when ys is empty.
+    """
+    if not ys or xs.keys() != ys.keys():
+        return None
+    c = None
+    for key, y in ys.items():
+        ratio = xs[key] / y
+        if c is None:
+            c = ratio
+        elif c != ratio:
+            return None
+    return c
 
 
 def _eval_map(f: dict, values: list["Scalar"], pow_cache: dict) -> Scalar:

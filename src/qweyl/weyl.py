@@ -116,11 +116,8 @@ class Relation:
     def defining_data(self):
         return (self.sigma, self.rho, self.F, self.tau, self.has_N)
 
-    def same_relation(self, other: "Relation") -> bool:
-        return self is other or self.defining_data() == other.defining_data()
-
     def __eq__(self, other):
-        return isinstance(other, Relation) and self.same_relation(other)
+        return self is other or (isinstance(other, Relation) and self.defining_data() == other.defining_data())
 
     def __hash__(self):
         return hash(self.defining_data())
@@ -375,14 +372,14 @@ class NormalForm:
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        if not self.rel.same_relation(other.rel):
+        if self.rel != other.rel:
             raise RelationMismatchError("comparing normal forms from different relations")
         return self.terms == other.terms
 
     # -- algebra ----------------------------------------------------------------
 
     def _check(self, other: "NormalForm") -> None:
-        if not self.rel.same_relation(other.rel):
+        if self.rel != other.rel:
             raise RelationMismatchError("mixing normal forms from different relations")
 
     def __add__(self, other):

@@ -1,8 +1,11 @@
 """Catalog verification: ladder identities, erratum variants, expansions, sl2q."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweyl import identities as I
 from qweyl import reps as R
@@ -327,6 +330,23 @@ def test_lemma4_generic_extended():
             e = expand_in_ab_powers(x)
             assert all(isinstance(c, Poly1) for c in e.coeffs)
             assert e.reconstruct() == x, "".join(letters)
+
+
+_NCOEFFS = st.sampled_from([zero, one, -one, Scalar.of(Fraction(1, 2)), P, Q, P * Q - 1, Q**-1])
+_NPOLYS = st.lists(_NCOEFFS, max_size=3).map(lambda cs: Poly1(cs, "N"))  # degree at most 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_NPOLYS, min_size=1, max_size=4), st.lists(_NCOEFFS, max_size=2), _NCOEFFS.filter(bool))
+def test_expansion_returns_the_coefficients_it_was_built_from(cs, f_low, f_top):
+    rel = W.extended(F=Poly1(f_low + [f_top], "N"))  # sigma = p, tau = q, F of degree 0..2
+    ab = rel.word("ab")
+    x, power = rel.scalar_nf(0), rel.unit()
+    for c in cs:
+        x = x + rel.npoly_nf(c) * power
+        power = power * ab
+    got = expand_in_ab_powers(x).coeffs
+    assert got + [Poly1([], "N")] * (len(cs) - len(got)) == cs
 
 
 # --- scalar factor solving ------------------------------------------------------------------------

@@ -264,11 +264,12 @@ def test_statement_errors_count_from_the_statement():
 # --- CLI ------------------------------------------------------------------------------------------
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qweyl.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -388,6 +389,21 @@ def test_cli_normalize_json_of_a_high_degree_quotient_byte_stable():
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == "bf0293a8536a74ec49791ec0280b2e5393d312546785f4e283c38e20e795cf4e"
     assert "(q^4000 + 1)/(q + 1)*a" in r.stdout
+
+
+def test_cli_normalize_of_quotients_past_the_heuristic_gcd_cap_finishes():
+    # both evaluate past the heuristic gcd's bit cap, so the PRS gcd divides
+    # them, dropping one top coefficient per step
+    r = run_cli("normalize", "(q^300000+q^400000)*(1+q)^-1*a", timeout=30)
+    assert (r.returncode, r.stdout) == (0, "(q^400000 + q^300000)/(q + 1)*a\n")
+    r = run_cli("normalize", "(q^20000-1)*(q-1)^-1", timeout=30)
+    assert (r.returncode, r.stdout) == (0, "(%s + q + 1)\n" % " + ".join("q^%d" % e for e in range(19999, 1, -1)))
+
+
+def test_cli_expand_json_under_the_extended_relation_byte_stable():
+    r = run_cli("expand", "b*b*a*a", "--relation", "extended", "--F", "1+N", "--format", "json")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == "63c1ea8aa78085f490470e0bb25973c2f764068456c842b634f66114de823669"
 
 
 def test_cli_suite_core_seeded_determinism():

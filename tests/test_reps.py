@@ -355,6 +355,11 @@ def test_hq_fock_diagonal():
         assert m.column(n) == {n: P * qnum(n + 1)}
 
 
+def test_hq_fock_sequence_is_rho_times_the_q_numbers():
+    assert hq_fock(L=12).seq == [P * qnum(n) for n in range(1, 13)]
+    assert hq_fock(p=3, q=Fraction(2, 5), L=4).seq == [Scalar.of(3 * (1 - Fraction(2, 5) ** n) / (1 - Fraction(2, 5))) for n in range(1, 5)]
+
+
 def test_fock_relation_on_window():
     rep = hq_fock(L=10)
     ma = fock_word_matrix("a", rep)

@@ -21,6 +21,7 @@ from qweyl.scalar import (
     ScalarDivisionError,
     ScalarError,
     SubstitutionError,
+    common_ratio,
     one,
     qnum,
     substitute,
@@ -303,6 +304,21 @@ def test_divisible_by_p_minus_1_iff_numerator_vanishes_at_1(x, times):
         x = x * (P - 1)
     vanishes = substitute(Scalar(x.num), {"p": 1}).is_zero()
     assert x.numerator_divisible_by(P - 1) == vanishes
+
+
+def test_uses_reads_each_field_of_numerator_and_denominator():
+    x = A**2 / (1 + Q**-1)
+    assert [x.uses(v) for v in S.VAR_NAMES] == [False, True, True, False]
+    assert [(P * D / P).uses(v) for v in S.VAR_NAMES] == [False, False, False, True]
+    assert not any((Q**-3 * Q**3).uses(v) for v in S.VAR_NAMES)
+
+
+def test_common_ratio():
+    assert common_ratio({}, {}) is None
+    assert common_ratio({1: P}, {}) is None
+    assert common_ratio({1: P}, {2: P}) is None  # differing keys
+    assert common_ratio({1: P, 2: Q}, {1: one, 2: one}) is None  # the ratio differs
+    assert common_ratio({1: P * Q, 2: -Q / 2}, {1: P, 2: -one / 2}) == Q
 
 
 # --- exponent range ----------------------------------------------------------
@@ -617,7 +633,7 @@ def test_poly1_degree_sentinel():
 def test_poly1_is_one_scalar_over_an_x_free_denominator():
     f = Poly1([P / (1 + Q), zero, one / ((1 + Q) * (P - 1)), Q], "x")
     assert f.value.den == ((1 + Q) * (P - 1)).num  # the least common denominator
-    assert not S._mp_uses(f.value.den, S._X)
+    assert max(f.value.den) < S.X_UNIT
     assert f.coeffs == [P / (1 + Q), zero, one / ((1 + Q) * (P - 1)), Q]
     assert f[2] == one / ((1 + Q) * (P - 1)) and f[4] == zero and f[-1] == zero
     assert Poly1(f.coeffs, f.var) == f and hash(Poly1(f.coeffs, f.var)) == hash(f)
