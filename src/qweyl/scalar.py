@@ -816,6 +816,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
+        if self is one:
+            return other
+        if other is one:
+            return self
         if self.den == _MP_ONE and other.den == _MP_ONE:
             return Scalar(_mp_mul(self.num, other.num), None, _normalized=True)
         return Scalar(

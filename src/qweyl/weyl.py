@@ -16,13 +16,12 @@ Reordering a^j b^i starts from the recurrence
     a b^i = sigma * b * (a b^(i-1)) + b^(i-1) * F(tau^(i-1) N + {i-1})
 
 (with F replaced by the central rho in the N-free case).  Each further a
-runs through the product path: a^j b^i = a * (a^(j-1) b^i) moves a past
-every term b^alpha N^mu a^beta of a^(j-1) b^i with ``_mid_product(0, 1,
-alpha, mu)``, the same step that multiplies normal forms.  All of it is
-memoized per relation because identity checks reuse the same (j, i) pairs
-thousands of times.  The memo tables fill on first use and grow until
-``Relation.clear_caches``; a relation's defining data never change, so an
-entry never goes stale.
+is a product: a^j b^i = a * (a^(j-1) b^i) runs ``Relation._product``, the
+term-pair loop that ``NormalForm.__mul__`` runs.  One table ``_r`` keyed
+(j, i) memoizes both fills per relation, because identity checks reuse the
+same (j, i) pairs thousands of times.  The memo tables fill on first use and
+grow until ``Relation.clear_caches``; a relation's defining data never
+change, so an entry never goes stale.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class Relation:
         "F",
         "tau",
         "has_N",
-        "_r1",
         "_r",
         "_mid",
         "_shift_pow",
@@ -105,7 +103,6 @@ class Relation:
             self.rho = Scalar.of(rho if rho is not None else 0)
             self.F = None
             self.tau = None
-        self._r1: dict = {}
         self._r: dict = {}
         self._mid: dict = {}
         self._shift_pow: dict = {}
@@ -200,23 +197,6 @@ class Relation:
             got = self._shift_pow[(m, t)] = {_key(0, e, 0): c for e, c in poly.terms()}
         return got
 
-    def _R1(self, i: int) -> dict:
-        """Term map of a * b^i."""
-        if i == 0:
-            return {_key(0, 0, 1): one}
-        got = self._r1.get(i)
-        if got is None:
-            # bottom-up, so no exponent reaches the recursion limit; the fill
-            # keeps the table exactly {1, ..., len(table)}
-            # the remainder's nonzero coefficients, (m, F_m), or (0, rho) without N
-            rem = self.F.terms() if self.has_N else [(0, self.rho)] if self.rho else []
-            t = len(self._r1)
-            got = self._R1(t)
-            while t < i:
-                t += 1
-                got = self._r1[t] = self._r1_step(got, t, rem)
-        return got
-
     def _r1_step(self, prev: dict, i: int, rem: list) -> dict:
         """a * b^i = sigma * b * (a * b^(i-1)) + b^(i-1) * F(tau^(i-1) N + {i-1})."""
         out = _k.axpy_shift({}, prev, _key(1, 0, 0), self.sigma)
@@ -230,26 +210,40 @@ class Relation:
             return {_key(i, 0, 0): one}
         if i == 0:
             return {_key(0, 0, j): one}
-        if j == 1:
-            return self._R1(i)
         got = self._r.get((j, i))
         if got is None:
-            # bottom-up from the largest filled row below j
-            t = j - 1
-            while t > 1 and (t, i) not in self._r:
-                t -= 1
-            got = self._R(t, i)
-            while t < j:
-                t += 1
-                got = self._r[(t, i)] = self._r_step(got)
+            # bottom-up from the largest filled entry of row 1 or of column i,
+            # so no exponent reaches the recursion limit
+            if j == 1:
+                # the remainder's nonzero coefficients, (m, F_m), or (0, rho) without N
+                rem = self.F.terms() if self.has_N else [(0, self.rho)] if self.rho else []
+                t = i - 1
+                while t and (1, t) not in self._r:
+                    t -= 1
+                got = self._R(1, t)
+                while t < i:
+                    t += 1
+                    got = self._r[(1, t)] = self._r1_step(got, t, rem)
+            else:
+                t = j - 1
+                while t > 1 and (t, i) not in self._r:
+                    t -= 1
+                got = self._R(t, i)
+                a = {_key(0, 0, 1): one}
+                while t < j:
+                    t += 1
+                    got = self._r[(t, i)] = self._product(a, got)
         return got
 
-    def _r_step(self, prev: dict) -> dict:
-        """a^j * b^i = a * (a^(j-1) * b^i), from prev = a^(j-1) * b^i."""
+    def _product(self, x: dict, y: dict) -> dict:
+        """Term map of x * y: every term pair b^i1 N^m1 a^j1 * b^i2 N^m2 a^j2
+        reorders its middle N^m1 a^j1 b^i2 N^m2."""
         out: dict = {}
-        for k, c in prev.items():
-            alpha, mu, beta = _ikey(k)
-            _k.axpy_shift(out, self._mid_product(0, 1, alpha, mu), beta, c)
+        for k1, c1 in x.items():
+            i1, m1, j1 = _ikey(k1)
+            for k2, c2 in y.items():
+                i2, m2, j2 = _ikey(k2)
+                _k.axpy_shift(out, self._mid_product(m1, j1, i2, m2), (i1 << 40) + j2, c1 * c2)
         return out
 
     def _mid_product(self, m1: int, j1: int, i2: int, m2: int) -> dict:
@@ -274,7 +268,7 @@ class Relation:
         return got
 
     def clear_caches(self) -> None:
-        for d in (self._r1, self._r, self._mid, self._shift_pow, self._tau_num):
+        for d in (self._r, self._mid, self._shift_pow, self._tau_num):
             d.clear()
 
 
@@ -372,14 +366,14 @@ class NormalForm:
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        if self.rel != other.rel:
+        if self.rel is not other.rel and self.rel != other.rel:
             raise RelationMismatchError("comparing normal forms from different relations")
         return self.terms == other.terms
 
     # -- algebra ----------------------------------------------------------------
 
     def _check(self, other: "NormalForm") -> None:
-        if self.rel != other.rel:
+        if self.rel is not other.rel and self.rel != other.rel:
             raise RelationMismatchError("mixing normal forms from different relations")
 
     def __add__(self, other):
@@ -400,15 +394,7 @@ class NormalForm:
             return self.scale(other)
         self._check(other)
         _check_key_range(self, other)
-        out: dict = {}
-        rel = self.rel
-        for k1, c1 in self.terms.items():
-            i1, m1, j1 = _ikey(k1)
-            for k2, c2 in other.terms.items():
-                i2, m2, j2 = _ikey(k2)
-                mid = rel._mid_product(m1, j1, i2, m2)
-                _k.axpy_shift(out, mid, (i1 << 40) + j2, c1 * c2)
-        return NormalForm(self.rel, out, _clean=True)
+        return NormalForm(self.rel, self.rel._product(self.terms, other.terms), _clean=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

@@ -391,6 +391,27 @@ def test_cli_normalize_json_of_a_high_degree_quotient_byte_stable():
     assert "(q^4000 + 1)/(q + 1)*a" in r.stdout
 
 
+# engine outputs pinned by sha256: long a-runs, long b-runs, an N on both sides of a^j b^i
+PINNED_NORMALIZE_JSON = (
+    (("a^24*b^24",), "7b66382de15f97c3f4fe32a0defcd1607bf466c5a4e48b8c363f56e07e7d16a2"),
+    (("(a*b)^16",), "ec9c2a2f896696603cdbcab15a91eae55e5aadd4af733a62745885eb212cf2e1"),
+    (("a^3000*b",), "5f3e1ae2d94108e6346aca6a5e034a0bd9c7ffd328ded86b6035adc75d43f501"),
+    (("a*b^3000",), "e9d331db585641cda7646b1e4c0bb723aa88036c537c69bf98b13b5fdbfb4e36"),
+    (("N^2*a^6*b^6*N^2", "--relation", "extended", "--F", "1+N+N^2"), "41d4f5b09bc794dce86da91ec939564537fc23062a80bc2d09b5f9b7db09b970"),
+)
+
+
+def test_cli_normalize_json_of_reordered_powers_byte_stable():
+    for args, digest in PINNED_NORMALIZE_JSON:
+        r = run_cli("normalize", *args, "--format", "json", timeout=60)
+        assert (r.returncode, hashlib.sha256(r.stdout.encode()).hexdigest()) == (0, digest), args
+
+
+def test_cli_normalize_binds_parameters_of_an_extended_relation():
+    r = run_cli("normalize", "a*b*N", "--relation", "extended", "--F", "p+N", "--params", "p=2,q=3")
+    assert (r.returncode, r.stdout) == (0, "6*b*N*a + 2*b*a + N^2 + 2*N\n")
+
+
 def test_cli_normalize_of_quotients_past_the_heuristic_gcd_cap_finishes():
     # both evaluate past the heuristic gcd's bit cap, so the PRS gcd divides
     # them, dropping one top coefficient per step

@@ -451,6 +451,18 @@ def test_q_derivative_matches_the_per_term_sum(num, den):
     assert f.q_derivative() == q_derivative_per_term(f)
 
 
+def test_a_product_with_one_is_the_other_operand(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("a product with one ran a gcd")
+
+    x = (P + 1 + Q**2) / (1 + Q + P * Q)
+    monkeypatch.setattr(S, "_mp_gcd", refuse)
+    assert x * one is x
+    assert one * x is x
+    assert 3 * one == one * 3 == Scalar.of(3)
+    assert one * Fraction(1, 2) == Fraction(1, 2) * one == Scalar.of(Fraction(1, 2))
+
+
 def test_the_q4000_quotient_never_reaches_the_prs_gcd(monkeypatch):
     def refuse(f, g):
         raise AssertionError("the PRS gcd was reached")

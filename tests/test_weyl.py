@@ -112,6 +112,16 @@ def test_equal_specs_are_compatible():
     assert not (x * y).is_zero()
 
 
+def test_binding_an_extended_relation_substitutes_sigma_F_and_tau():
+    bound = extended(F=Poly1([P, 1], "N")).bind({"p": 2, "q": 3})
+    want = extended(sigma=2, F=Poly1([2, 1], "N"), tau=3)
+    assert bound is not want and bound == want
+    assert hash(bound) == hash(want)
+    # a*b = 2*b*a + 2 + N and N*b = b*(3N + 1)
+    assert bound.word("abN") == want.word("abN")
+    assert bound.word("abN").render() == "6*b*N*a + 2*b*a + N^2 + 2*N"
+
+
 # --- power -----------------------------------------------------------------------------
 
 
@@ -179,8 +189,39 @@ def test_extended_remainder_moves_only_nonzero_coefficients(monkeypatch):
     moved = []
     shiftpow = W.Relation._shiftpow
     monkeypatch.setattr(W.Relation, "_shiftpow", lambda rel, m, t: moved.append(m) or shiftpow(rel, m, t))
-    extended(F=Poly1([2] + [0] * 39 + [1], "N"))._R1(3)
+    extended(F=Poly1([2] + [0] * 39 + [1], "N"))._R(1, 3)
     assert moved == [0, 40] * 3
+
+
+def test_memo_fills_bottom_up_from_the_largest_filled_entry(monkeypatch):
+    # row 1 grows by one _r1_step per b, a column by one _product per a
+    calls = []
+    r1_step, product = W.Relation._r1_step, W.Relation._product
+    monkeypatch.setattr(W.Relation, "_r1_step", lambda rel, prev, i, rem: calls.append(("row", i)) or r1_step(rel, prev, i, rem))
+    monkeypatch.setattr(W.Relation, "_product", lambda rel, x, y: calls.append(("column",)) or product(rel, x, y))
+    rel = hq()
+    rel._R(1, 5)
+    calls.clear()
+    rel._R(1, 8)
+    assert calls == [("row", 6), ("row", 7), ("row", 8)]
+    rel._R(3, 4)
+    want = hq()._R(5, 4)
+    calls.clear()
+    assert rel._R(5, 4) == want
+    assert calls == [("column",), ("column",)]
+
+
+def test_normal_form_products_and_the_column_fill_share_one_product_loop(monkeypatch):
+    calls = []
+    product = W.Relation._product
+    monkeypatch.setattr(W.Relation, "_product", lambda rel, x, y: calls.append(len(x) * len(y)) or product(rel, x, y))
+    rel = hq()
+    a, b = rel.gen("a"), rel.gen("b")
+    assert nf_terms(a * b) == {(1, 0, 1): Q, (0, 0, 0): P}
+    assert calls == [1]
+    calls.clear()
+    rel._R(2, 1)
+    assert calls == [2]  # a * (a b), with a b = q*b*a + p
 
 
 def test_power_refuses_huge_exponents_before_any_work():
@@ -425,7 +466,7 @@ def test_memo_tables_hold_no_zero_terms_at_sigma_zero(make):
     # with sigma = 0 every sigma * (a b^(i-1)) term vanishes; none may stay in a table
     rel = make()
     assert rel.gen("a") ** 3 * rel.gen("b") ** 4 == rel.word("aaabbbb")
-    tables = [rel._r1, rel._r]
+    tables = [rel._r]
     if rel.has_N:
         # N on both sides of a^j b^i fills _mid, and so does a remainder in N
         n = rel.gen("N")
