@@ -25,8 +25,10 @@ coefficient field that no operator touches.  The image of x^k is the
 coefficient of Y^k in the result (``Poly1.basis_images``).
 
 ``fock_words_equal`` decides a word identity w1 == w2 from the q-oscillator
-Fock representation, where it is faithful, by counting the levels the a's act
-at; ``identities.verify`` settles the catalog's word identities with it.
+Fock representation, where it is faithful, by comparing the sorted offsets at
+which the words' a's act; ``identities.verify`` settles the catalog's word
+identities with it.  A Fock matrix entry is the product of s_k over the same
+levels.
 
 The convention here fixes a = D, b = x for the Jackson representation so
 that b*a realizes x*D; callers that want the mirrored assignment can use
@@ -38,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 from .scalar import D as _D
@@ -409,32 +410,24 @@ class FockMatrix:
         ]
 
 
-def _a_levels(word: str, n: int):
-    """Levels k at which the word's a's act on |n> (each contributes s_k); None when killed."""
-    levels = []
+def _a_offsets(word: str) -> tuple:
+    """The sorted offsets D of the word's a's: #b - #a to the right of each a.
+
+    On |n> the a's act at the levels n + d for d in D, so the word kills |n>
+    exactly when n + min(D) <= 0, and two words with equal D act alike in
+    every diagonal Fock representation.
+    """
+    offsets = []
+    d = 0
     for ch in reversed(word):
         if ch == "b":
-            n += 1
+            d += 1
         elif ch == "a":
-            if n == 0:
-                return None
-            levels.append(n)
-            n -= 1
+            offsets.append(d)
+            d -= 1
         else:
             raise ParameterMismatchError("Fock words use a and b only")
-    return levels
-
-
-def _cyclotomic_counts(levels) -> Counter:
-    """For each d >= 2, how many levels d divides.
-
-    [k]_sigma = prod_(d | k, d > 1) Phi_d(sigma), so the product of [k]_sigma
-    over the levels is prod_d Phi_d(sigma)^count(d).
-    """
-    counts = Counter()
-    for k in levels:
-        counts.update(d for d in range(2, k + 1) if k % d == 0)
-    return counts
+    return tuple(sorted(offsets))
 
 
 def fock_words_equal(rel: Relation, w1: str, w2: str):
@@ -446,17 +439,21 @@ def fock_words_equal(rel: Relation, w1: str, w2: str):
     J. Math. Phys. 17 (1976) 524) is faithful on elements of a-degree at most
     J when [1]_sigma .. [J]_sigma are nonzero: the least a-degree j0 of a
     nonzero normal form survives on |j0> with the factor rho^j0 [j0]_sigma!.
-    A word sends |n> to rho^#a prod_(k in S(n)) [k]_sigma |n + #b - #a>, S(n)
-    the levels its a's act at, or kills |n> when an a meets level 0.  So two
+    A word sends |n> to rho^#a prod_(d in D) [n + d]_sigma |n + #b - #a>, D
+    its a-offsets (``_a_offsets``), or kills |n> when n + min(D) <= 0.  So two
     words with the same letters are equal exactly when they agree on
-    |0> .. |#a>: both kill, or neither does and the products agree.
+    |0> .. |#a>, and they are equal when their offsets are.
 
-    - sigma a non-constant single term: the cyclotomic factors Phi_d(sigma)
-      are pairwise coprime non-units, so the products agree exactly when
-      every d >= 2 divides as many levels of one word as of the other.  Only
-      integers are counted; no Scalar is built.
-    - sigma a rational constant with [1]_sigma .. [#a]_sigma nonzero: the
-      exact rational products are compared.
+    - sigma a non-constant single term: [k]_sigma is the product of the
+      pairwise coprime non-units Phi_d(sigma) over d | k, d > 1, so two
+      products over level multisets of one size agree exactly when the
+      levels above 1 agree (the largest level is the largest d with a nonzero
+      count; remove it and repeat).  At n = #a neither word kills |n>, so
+      unequal offsets mean unequal words.  No Scalar is built.
+    - sigma a rational constant with [1]_sigma .. [#a]_sigma nonzero: unequal
+      offsets may still give equal products, so the exact rational products
+      are compared level by level.  At sigma = 0 every [k] is 1, and aab ==
+      aba though their offsets are {0, 1} and {0, 0}.
     - anything else (N in the relation, rho = 0, another sigma, different
       letter counts, a vanishing [k]_sigma as at sigma = -1) is None.
     """
@@ -468,34 +465,33 @@ def fock_words_equal(rel: Relation, w1: str, w2: str):
     sigma = rel.sigma
     if sigma.is_constant():
         c = sigma.as_fraction()
-        qint = [Fraction(0)]  # qint[k] = [k]_c
-        for _ in w1:
-            qint.append(qint[-1] * c + 1)
-        if not all(qint[1 : na + 1]):
+        # [k]_c = (c^k - 1)/(c - 1) vanishes for a rational c only at c = -1, k even
+        if c == -1 and na >= 2:
             return None
-
-        def value(levels):
-            return math.prod((qint[k] for k in levels), start=Fraction(1))
-
-    elif sigma.is_single_term():
-        value = _cyclotomic_counts
-    else:
+    elif not sigma.is_single_term():
         return None
-    for n in range(na + 1):
-        s1, s2 = _a_levels(w1, n), _a_levels(w2, n)
-        if (s1 is None) != (s2 is None):
-            return False
-        if s1 is not None and value(s1) != value(s2):
+    d1, d2 = _a_offsets(w1), _a_offsets(w2)
+    if d1 == d2:
+        return True
+    # a word kills |n> exactly for n <= -min(D)
+    if not sigma.is_constant() or min(d1[0], 1) != min(d2[0], 1):
+        return False
+    qint = [Fraction(0)]  # qint[k] = [k]_c, up to the highest level n + d used
+    for _ in range(na + max(d1[-1], d2[-1])):
+        qint.append(qint[-1] * c + 1)
+    for n in range(max(0, 1 - d1[0]), na + 1):
+        if math.prod(qint[n + d] for d in d1) != math.prod(qint[n + d] for d in d2):
             return False
     return True
 
 
 def fock_word_matrix(word: str, rep: FockRep) -> FockMatrix:
-    """Direct letter-by-letter application; independent of the engine.
+    """The word's action on the truncated basis; independent of the engine.
 
-    The word sends |n> to prod_(k in S(n)) s_k |n + #b - #a>, S(n) the levels
-    its a's act at.  A level above L either meets an a, where s is zero, or
-    ends above L, so dropping the rows above L truncates as the letters do.
+    The word sends |n> to prod_(d in D) s_(n+d) |n + #b - #a>, D its
+    a-offsets (``_a_offsets``), and kills |n> when n + min(D) <= 0.  A level
+    above L either meets an a, where s is zero, or ends above L, so dropping
+    the rows above L truncates as the letters do.
     """
     if len(word) + 2 > rep.L:
         raise TruncationError("word of length %d needs L >= %d" % (len(word), len(word) + 2))
@@ -503,13 +499,13 @@ def fock_word_matrix(word: str, rep: FockRep) -> FockMatrix:
 
 
 def _word_matrix(word: str, rep: FockRep, c: Scalar) -> FockMatrix:
-    """c times the word's matrix: each entry is the product of its s_k begun at c."""
-    shift = word.count("b") - word.count("a")
+    """c times the word's matrix: column n holds the product of s_(n+d), d in D, begun at c."""
+    offsets = _a_offsets(word)
+    shift = len(word) - 2 * len(offsets)
+    start = max(0, 1 - offsets[0]) if offsets else 0
     out: dict = {}
-    for n in range(rep.L + 1):
-        levels = _a_levels(word, n)
-        if levels is not None and n + shift <= rep.L:
-            out[(n + shift, n)] = math.prod(map(rep.s, levels), start=c)
+    for n in range(start, rep.L + 1 - max(shift, 0)):
+        out[(n + shift, n)] = math.prod((rep.s(n + d) for d in offsets), start=c)
     return FockMatrix(out, rep.L, len(word))
 
 

@@ -781,6 +781,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == _MP_ONE and other.den == _MP_ONE:
             return Scalar(_k.mpoly_add(self.num, other.num), None, _normalized=True)
         n = _k.mpoly_add(
@@ -795,6 +799,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
         if self.den == _MP_ONE and other.den == _MP_ONE:
             return Scalar(_k.mpoly_sub(self.num, other.num), None, _normalized=True)
         n = _k.mpoly_sub(

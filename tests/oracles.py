@@ -20,12 +20,19 @@ two words that the engine normal-orders letter by letter.
 ``q_derivative_per_term`` is the Jackson derivative term by term: each key
 adds its coefficient to every key of its q-number, one at a time, where
 ``Poly1.q_derivative`` walks running sums along q.
+
+``fock_words_equal_per_level`` and ``fock_word_matrix_per_level`` apply a
+word to each basis vector |n> letter by letter and multiply the s_k of the
+levels its a's meet, where ``reps`` keys a word's action by its sorted
+a-offsets and memoizes the products on the representation.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 from qweyl import scalar as S
-from qweyl.reps import FockMatrix, fock_word_matrix, hq_fock
+from qweyl.reps import FockMatrix, ParameterMismatchError, fock_word_matrix, hq_fock
 from qweyl.scalar import P, Q, Poly1, one, zero
 from qweyl.weyl import commutator
 
@@ -232,3 +239,86 @@ def q_derivative_per_term(f):
             else:
                 del out[kt]
     return Poly1._of(f._over_den(S._mp_checked(out)), f.var)
+
+
+def fock_a_levels(word, n):
+    """Levels k at which the word's a's act on |n>, letter by letter; None when an a meets |0>."""
+    levels = []
+    for ch in reversed(word):
+        if ch == "b":
+            n += 1
+        elif ch == "a":
+            if n == 0:
+                return None
+            levels.append(n)
+            n -= 1
+        else:
+            raise ParameterMismatchError("Fock words use a and b only")
+    return levels
+
+
+def _cyclotomic_counts(levels):
+    """For each d >= 2, how many levels d divides: the exponent of Phi_d(sigma) in prod [k]_sigma."""
+    counts = Counter()
+    for k in levels:
+        counts.update(d for d in range(2, k + 1) if k % d == 0)
+    return counts
+
+
+def fock_words_equal_per_level(rel, w1, w2):
+    """``reps.fock_words_equal`` decided on |0> .. |#a> one level at a time.
+
+    Each |n> is sent through both words letter by letter; the words differ
+    when one kills |n> and the other does not, or when their products of
+    [k]_sigma differ: as cyclotomic counts for a non-constant single-term
+    sigma, as exact rationals for a constant one.  None where the Fock
+    representation does not decide, as in ``reps``.
+    """
+    if rel.has_N or rel.rho.is_zero():
+        return None
+    na = w1.count("a")
+    if len(w1) != len(w2) or na != w2.count("a"):
+        return None
+    sigma = rel.sigma
+    if sigma.is_constant():
+        c = sigma.as_fraction()
+        qint = [Fraction(0)]
+        for _ in w1:
+            qint.append(qint[-1] * c + 1)
+        if not all(qint[1 : na + 1]):
+            return None
+
+        def value(levels):
+            return math.prod((qint[k] for k in levels), start=Fraction(1))
+
+    elif sigma.is_single_term():
+        value = _cyclotomic_counts
+    else:
+        return None
+    for n in range(na + 1):
+        s1, s2 = fock_a_levels(w1, n), fock_a_levels(w2, n)
+        if (s1 is None) != (s2 is None):
+            return False
+        if s1 is not None and value(s1) != value(s2):
+            return False
+    return True
+
+
+def fock_word_matrix_per_level(word, rep, c=one):
+    """c times the word's Fock matrix: column n is c times s_k over the levels k, in the order met."""
+    shift = word.count("b") - word.count("a")
+    out = {}
+    for n in range(rep.L + 1):
+        levels = fock_a_levels(word, n)
+        if levels is not None and n + shift <= rep.L:
+            out[(n + shift, n)] = math.prod(map(rep.s, levels), start=c)
+    return FockMatrix(out, rep.L, len(word))
+
+
+def fock_matrix_per_level(x, rep):
+    """A normal form's Fock matrix: the sum of c * (the word b^i a^j) over its terms, level by level."""
+    letters = max((i + j for (i, _m, j), _c in x.items()), default=0)
+    total = FockMatrix({}, rep.L, letters)
+    for (i, _m, j), c in x.items():
+        total = total + fock_word_matrix_per_level("b" * i + "a" * j, rep, c)
+    return total

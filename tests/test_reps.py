@@ -50,7 +50,7 @@ from qweyl.reps import (
 from qweyl.scalar import D, P, Poly1, Q, Scalar, one, qnum, zero
 
 from catalog_cases import criterion_3_cases
-from oracles import random_word
+from oracles import fock_matrix_per_level, fock_word_matrix_per_level, fock_words_equal_per_level, random_word
 
 
 # --- the relation table -----------------------------------------------------------
@@ -522,11 +522,14 @@ def test_fock_words_equal_agrees_with_engine_on_criterion_3():
 
 
 def test_cyclotomic_counts_decide_products_of_q_integers():
-    # [k]_q = prod_(d | k, d > 1) Phi_d(q), so equal counts mean equal products and back
-    multisets = [ms for size in (1, 2) for ms in itertools.combinations_with_replacement(range(1, 9), size)]
+    # [k]_q = prod_(d | k, d > 1) Phi_d(q) with the Phi_d pairwise coprime, so a
+    # product of q-integers fixes its levels above 1 and back; fock_words_equal
+    # rests on this for a single-term sigma
+    multisets = [ms for size in (1, 2, 3) for ms in itertools.combinations_with_replacement(range(1, 9), size)]
     product = {ms: math.prod((qnum(k) for k in ms), start=one) for ms in multisets}
+    above_1 = {ms: tuple(k for k in ms if k > 1) for ms in multisets}
     for s1, s2 in itertools.product(multisets, repeat=2):
-        assert (R._cyclotomic_counts(s1) == R._cyclotomic_counts(s2)) is (product[s1] == product[s2]), (s1, s2)
+        assert (above_1[s1] == above_1[s2]) is (product[s1] == product[s2]), (s1, s2)
 
 
 def _random_pairs(rng):
@@ -560,6 +563,66 @@ def test_fock_words_equal_agrees_with_engine_on_random_words(rel):
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
+_DECISION_RELATIONS = [
+    W.hq(),
+    W.hq(p=3, q=7),
+    W.heisenberg(2 * Q**3, 1),
+    W.hq(q=0),
+    W.hq(p=1, q=-2),
+    W.heisenberg(1, 1),
+    W.hq(q=-1),
+    W.heisenberg(1 + Q, 1),
+    W.extended(),
+]
+
+
+@pytest.mark.parametrize(
+    "rel",
+    _DECISION_RELATIONS,
+    ids=["hq", "p3q7", "2q^3", "q=0", "p1q-2", "heisenberg11", "q=-1", "multi-term-sigma", "extended"],
+)
+def test_fock_words_equal_matches_the_per_level_decision(rel):
+    rng = random.Random(25)
+    pairs = _random_pairs(rng)
+    for _ in range(200):
+        # longer words, a few with other letter counts
+        w = random_word(rng, rng.randint(0, 14))
+        pairs.append((w, "".join(rng.sample(w, len(w))) if rng.random() < 0.9 else random_word(rng, len(w))))
+    verdicts = set()
+    for w1, w2 in pairs:
+        got = fock_words_equal(rel, w1, w2)
+        assert got is fock_words_equal_per_level(rel, w1, w2), (w1, w2)
+        verdicts.add(got)
+    assert verdicts == ({None} if rel.has_N or not rel.sigma.is_single_term() else {True, False, None})
+
+
+def _same_matrix(m, oracle):
+    return (m.entries, m.L, m.letters) == (oracle.entries, oracle.L, oracle.letters)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        hq_fock(L=12),
+        hq_fock(p=3, q=7, L=12),
+        FockRep([1, 2, 0, 5, -3, 7, 1, 2, 9, 4, 6, 1]),
+        FockRep([Fraction(k, k + 2) * (-1) ** k for k in range(1, 13)]),
+    ],
+    ids=["symbolic", "p3q7", "zero-s3", "fractions"],
+)
+def test_fock_matrices_match_the_per_level_products(rep):
+    rng = random.Random(7)
+    words = ["", "a", "b", "ab", "ba", "aabb", "bbaa", "a" * 10, "b" * 10] + [
+        random_word(rng, rng.randint(1, 10)) for _ in range(40)
+    ]
+    for word in words:
+        assert _same_matrix(fock_word_matrix(word, rep), fock_word_matrix_per_level(word, rep)), word
+    rel = W.hq()
+    for _ in range(10):
+        x = rel.word(random_word(rng, rng.randint(1, 5))) * (P - 2) + rel.word(random_word(rng, rng.randint(0, 5))) * Q
+        assert _same_matrix(fock_matrix(x, rep), fock_matrix_per_level(x, rep)), x
+
+
 @pytest.mark.parametrize(
     "rel",
     [W.hq(q=-1), W.hq(p=0), W.heisenberg(one + Q, 1), W.extended()],
@@ -568,6 +631,22 @@ def test_fock_words_equal_agrees_with_engine_on_random_words(rel):
 def test_fock_words_equal_leaves_undecided_cases_to_the_engine(rel):
     assert fock_words_equal(rel, "aabb", "abab") is None
     assert fock_words_equal(rel, "abab", "abab") is None
+
+
+def test_fock_words_equal_builds_q_integers_only_for_unequal_offsets(monkeypatch):
+    # [k]_2 and [k]_(1/2) hold about k bits, so a table up to the words' length
+    # would take about 25 MB here; equal offsets need no table at all
+    def refuse(*args):
+        raise AssertionError("q-integer table built")
+
+    monkeypatch.setattr(R, "Fraction", refuse)
+    w = "a" * 20000 + "b" * 3
+    for q in (2, Fraction(1, 2), 0, 1):
+        assert fock_words_equal(W.hq(q=q), w, w) is True
+    assert fock_words_equal(W.hq(q=-1), w, w) is None
+    assert fock_words_equal(W.hq(q=-1), "ab", "ab") is True
+    with pytest.raises(AssertionError, match="table"):
+        fock_words_equal(W.hq(q=2), "aab", "aba")
 
 
 def test_fock_words_equal_needs_equal_letter_counts():

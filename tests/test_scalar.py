@@ -1,6 +1,7 @@
 """Coefficient-field tests: q-numbers, normalization, substitution, axioms."""
 
 import operator
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -461,6 +462,49 @@ def test_a_product_with_one_is_the_other_operand(monkeypatch):
     assert one * x is x
     assert 3 * one == one * 3 == Scalar.of(3)
     assert one * Fraction(1, 2) == Fraction(1, 2) * one == Scalar.of(Fraction(1, 2))
+
+
+def test_a_sum_or_difference_with_zero_is_the_other_operand(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("a sum with zero ran a gcd")
+
+    x = (P + 1 + Q**2) / (1 + Q + P * Q)
+    minus_x = -x
+    monkeypatch.setattr(S, "_mp_gcd", refuse)
+    assert x + zero is x
+    assert zero + x is x
+    assert x - zero is x
+    assert zero - x == minus_x
+    assert x + 0 is x and 0 + x is x and x - 0 is x
+    assert 0 - x == minus_x
+
+
+# a numerator with a high power of q over a denominator that uses q once
+# reached the pseudo-remainder gcd and ran past 20 s
+_HIGH_Q_QUOTIENTS = """
+from qweyl.scalar import A, P, Q, Poly1, Scalar, one
+den = P + Q + 1
+f = Poly1([1, 1, Q**400000 * A, Q**5], "x") * (one / den)
+print(Scalar((Q**400000 * A).num, den.num))
+print(f)
+print(f.q_derivative())
+print((Q**400000 * A + Q**400001 * A) / (Q**2 + Q + 1))
+print(((Q**400000 * A + P) * den) / (den * (Q + 2)))
+"""
+
+
+def test_quotients_with_a_high_power_of_q_finish():
+    r = subprocess.run([sys.executable, "-c", _HIGH_Q_QUOTIENTS], capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout.splitlines()) == (
+        0,
+        [
+            "(q^400000*A)/(p + q + 1)",
+            "Poly1((q^5)/(p + q + 1)*x^3 + (q^400000*A)/(p + q + 1)*x^2 + (1)/(p + q + 1)*x + (1)/(p + q + 1))",
+            "Poly1((q^7 + q^6 + q^5)/(p + q + 1)*x^2 + (q^400001*A + q^400000*A)/(p + q + 1)*x + (1)/(p + q + 1))",
+            "(q^400001*A + q^400000*A)/(q^2 + q + 1)",
+            "(q^400000*A + p)/(q + 2)",
+        ],
+    )
 
 
 def test_the_q4000_quotient_never_reaches_the_prs_gcd(monkeypatch):
