@@ -60,7 +60,6 @@ __all__ = [
     "realize",
     "morphism_check",
     "check_identity_on_basis",
-    "xpow",
     "op_compose",
     "op_add",
     "op_sub",
@@ -87,11 +86,6 @@ class TruncationError(Exception):
 
 
 # --- polynomial-space actions -------------------------------------------------
-
-
-def xpow(k: int) -> Poly1:
-    """The basis monomial x^k."""
-    return Poly1.monomial(one, k, "x")
 
 
 def _dminus(f: Poly1) -> Poly1:

@@ -440,7 +440,10 @@ def _mp_gcd_int(f: dict, g: dict) -> dict:
     return result
 
 
-_HEU_BITS = 1 << 16  # the largest evaluated operand, in bits: CPython's int gcd is quadratic
+# The largest evaluated operand, in bits.  CPython's int gcd is quadratic; on
+# two 2^20-bit ints it takes about a second, while the PRS fallback on inputs
+# in several variables with 100-bit coefficients can take minutes.
+_HEU_BITS = 1 << 20
 _HEU_TRIES = 6  # evaluation points per variable before the heuristic gives up
 
 
@@ -666,7 +669,7 @@ def _normalize(num: dict, den: dict) -> tuple[dict, dict]:
     common monomial cancels by a shift, and otherwise ``_mp_gcd``, whose
     cofactors are the reduced pair: the heuristic gcd of Char, Geddes and
     Gonnet (1989, analysed by Liao and Fateman, 1995), or, for operands that
-    would evaluate past 2^16 bits or after failed points, the primitive PRS
+    would evaluate past 2^20 bits or after failed points, the primitive PRS
     gcd.  Dividing both by den's leading coefficient then fixes sign and
     scale, so the result does not depend on which gcd ran.
     """

@@ -12,7 +12,7 @@ MODULES = ("qweyl",) + SUBMODULES
 # thin aliases and second copies of a method, an operator or a constant; call the one that stays
 REMOVED = {
     "qweyl.weyl": ("nf_of_word", "mul", "power", "grade", "substitute_params", "render"),
-    "qweyl.reps": ("apply", "op_gen", "delta_rep_finite_difference"),
+    "qweyl.reps": ("apply", "op_gen", "delta_rep_finite_difference", "xpow"),
     "qweyl.scalar": ("scalar_arith", "RatFun1", "qnum_symbolic", "qnum_double_alpha", "symbol"),
     "qweyl.identities": ("nf_poly_eval",),
     "qweyl.parser": ("print_canonical",),

@@ -391,10 +391,13 @@ def test_cli_normalize_json_of_a_high_degree_quotient_byte_stable():
     assert "(q^4000 + 1)/(q + 1)*a" in r.stdout
 
 
-# engine outputs pinned by sha256: long a-runs, long b-runs, an N on both sides of a^j b^i
+# engine outputs pinned by sha256: long a-runs, long b-runs, an N on both sides of a^j b^i;
+# the degree-40 products multiply by long q-integer runs, the kernel's window sums
 PINNED_NORMALIZE_JSON = (
     (("a^24*b^24",), "7b66382de15f97c3f4fe32a0defcd1607bf466c5a4e48b8c363f56e07e7d16a2"),
     (("(a*b)^16",), "ec9c2a2f896696603cdbcab15a91eae55e5aadd4af733a62745885eb212cf2e1"),
+    (("a^40*b^40",), "2f6af0fcde7ea955d738b2888911b61cab40cb731053ed19d32d326d52095c47"),
+    (("(a*b)^40",), "c71f9db31a3277bf4bede2629f38bca81c3a66db12a49f72c8837640b7b4e2ee"),
     (("a^3000*b",), "5f3e1ae2d94108e6346aca6a5e034a0bd9c7ffd328ded86b6035adc75d43f501"),
     (("a*b^3000",), "e9d331db585641cda7646b1e4c0bb723aa88036c537c69bf98b13b5fdbfb4e36"),
     (("N^2*a^6*b^6*N^2", "--relation", "extended", "--F", "1+N+N^2"), "41d4f5b09bc794dce86da91ec939564537fc23062a80bc2d09b5f9b7db09b970"),
@@ -413,8 +416,9 @@ def test_cli_normalize_binds_parameters_of_an_extended_relation():
 
 
 def test_cli_normalize_of_quotients_past_the_heuristic_gcd_cap_finishes():
-    # both evaluate past the heuristic gcd's bit cap, so the PRS gcd divides
-    # them, dropping one top coefficient per step
+    # the first evaluates past the heuristic gcd's bit cap, so the PRS gcd
+    # divides it, dropping one top coefficient per step; the second stays
+    # under the cap, and one integer gcd finds q - 1
     r = run_cli("normalize", "(q^300000+q^400000)*(1+q)^-1*a", timeout=30)
     assert (r.returncode, r.stdout) == (0, "(q^400000 + q^300000)/(q + 1)*a\n")
     r = run_cli("normalize", "(q^20000-1)*(q-1)^-1", timeout=30)

@@ -45,12 +45,16 @@ from qweyl.reps import (
     realize,
     rep_relation_check,
     sequence_residual,
-    xpow,
 )
 from qweyl.scalar import D, P, Poly1, Q, Scalar, one, qnum, zero
 
 from catalog_cases import criterion_3_cases
 from oracles import fock_matrix_per_level, fock_word_matrix_per_level, fock_words_equal_per_level, random_word
+
+
+def _xpow(k: int) -> Poly1:
+    """The basis monomial x^k."""
+    return Poly1.monomial(one, k, "x")
 
 
 # --- the relation table -----------------------------------------------------------
@@ -72,7 +76,7 @@ def test_diff_ba_oracle():
     # direct expansion: (x d - d x) x^k = -x^k
     rep = diff_ba()
     for k in range(6):
-        f = xpow(k)
+        f = _xpow(k)
         lhs = rep.a(rep.b(f)) - rep.b(rep.a(f))
         assert lhs == f * (-one)
 
@@ -81,17 +85,17 @@ def test_diff_ba_oracle():
 
 
 def test_jackson_action_on_monomial():
-    assert jackson().a(xpow(3)) == xpow(2) * qnum(3)
-    assert jackson().b(xpow(3)) == xpow(4)
+    assert jackson().a(_xpow(3)) == _xpow(2) * qnum(3)
+    assert jackson().b(_xpow(3)) == _xpow(4)
 
 
 def test_delta_forward_difference():
-    got = delta_rep().a(xpow(2))
+    got = delta_rep().a(_xpow(2))
     assert got == Poly1([D, Scalar.of(2)], "x")  # 2x + d
 
 
 def test_diff_kills_constants():
-    assert diff_ab().a(xpow(0)).is_zero()
+    assert diff_ab().a(_xpow(0)).is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(ALL_POLY_REPS()))
@@ -106,7 +110,7 @@ def test_poly_reps_know_a_and_b_only(name):
 def test_delta_two_constructors_agree():
     shift_form = delta_rep()
     for k in range(8):
-        f = xpow(k)
+        f = _xpow(k)
         # the backward-difference spelling x(1 - d D-) of the same operator
         dminus = (f - f.compose_affine(one, -D)) * (one / D)
         explicit = (f - dminus * D)
@@ -121,7 +125,7 @@ def test_realize_euler_operator():
     rel = W.heisenberg(one, one)
     op = realize(rel.word("ba"), diff_ab())
     for k in range(6):
-        assert op(xpow(k)) == xpow(k) * Scalar.of(k)
+        assert op(_xpow(k)) == _xpow(k) * Scalar.of(k)
 
 
 def test_realize_ladder_generator():
@@ -131,7 +135,7 @@ def test_realize_ladder_generator():
     nf = rel.word("bba") - Scalar.of(n) * rel.gen("b")
     op = realize(nf, diff_ab())
     for k in range(5):
-        assert op(xpow(k)) == xpow(k + 1) * Scalar.of(k - n)
+        assert op(_xpow(k)) == _xpow(k + 1) * Scalar.of(k - n)
 
 
 def test_realize_jackson_ab():
@@ -139,8 +143,8 @@ def test_realize_jackson_ab():
     op = realize(rel.word("ab"), jackson())
     for k in range(6):
         # oracle: apply-twice composition
-        direct = jackson().a(jackson().b(xpow(k)))
-        assert op(xpow(k)) == direct == xpow(k) * qnum(k + 1)
+        direct = jackson().a(jackson().b(_xpow(k)))
+        assert op(_xpow(k)) == direct == _xpow(k) * qnum(k + 1)
 
 
 def test_realize_parameter_mismatch():
@@ -148,7 +152,7 @@ def test_realize_parameter_mismatch():
     with pytest.raises(ParameterMismatchError):
         realize(nf, diff_ab())
     bound = nf.substitute({"p": 1, "q": 1})
-    assert realize(bound, diff_ab())(xpow(1)) == xpow(1) + diff_ab().b(diff_ab().a(xpow(1)))
+    assert realize(bound, diff_ab())(_xpow(1)) == _xpow(1) + diff_ab().b(diff_ab().a(_xpow(1)))
 
 
 def test_morphism_examples():
@@ -283,7 +287,7 @@ def test_eq22_constant_evaluates_each_basis_vector_once_per_side(monkeypatch, n)
 
 def _per_image(op, K):
     """The oracle: op applied to each monomial on its own."""
-    return [op(xpow(k)) for k in range(K + 1)]
+    return [op(_xpow(k)) for k in range(K + 1)]
 
 
 def _linear_operators():
@@ -341,8 +345,8 @@ def test_op_pow_rejects_negative_powers():
     b = diff_ab().b
     with pytest.raises(ValueError):
         op_pow(b, -1)
-    assert op_pow(b, 0)(xpow(2)) == xpow(2)
-    assert op_pow(b, 2)(xpow(2)) == xpow(4)
+    assert op_pow(b, 0)(_xpow(2)) == _xpow(2)
+    assert op_pow(b, 2)(_xpow(2)) == _xpow(4)
 
 
 # --- Fock representations ---------------------------------------------------------------------

@@ -6,10 +6,12 @@ value must equal the sympy value and have coprime numerator and denominator.
 Skipped when sympy is not installed; the package does not depend on it.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import scalar as S
@@ -341,10 +343,40 @@ def _assert_gcd_matches_sympy(f: dict, g: dict):
     return h
 
 
+def _packed(terms: dict) -> dict:
+    return {S._pack(*e): c for e, c in terms.items()}
+
+
+# A draw of the test below (Hypothesis seed 16) in p, q, A, d with 100-bit
+# coefficients.  Evaluated past the heuristic gcd's old 2^16-bit cap, it fell
+# back to the PRS gcd, which ran for minutes; sympy.gcd takes 0.02 s.
+_BIG = 10**30 + 7
+_SLOW_PRS_DRAW = (
+    _packed({(2, 1, 0, 2): _BIG, (2, 0, 0, 0): _BIG, (2, 1, 1, 0): Fraction(1, 2), (0, 0, 2, 2): _BIG}),
+    _packed({(0, 2, 2, 0): Fraction(1, 2), (2, 1, 0, 2): _BIG, (0, 0, 0, 0): _BIG, (2, 1, 1, 0): Fraction(1, 2)}),
+    _packed({(0, 2, 2, 1): -8, (2, 1, 1, 1): _BIG, (1, 1, 1, 0): Fraction(1, 2), (1, 1, 0, 1): Fraction(-2, 3)}),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_GCD_MAPS, _GCD_MAPS, _GCD_MAPS)
+@example(*_SLOW_PRS_DRAW)
 def test_gcd_matches_sympy_on_a_planted_factor(common, u, w):
     _assert_gcd_matches_sympy(S._mp_mul(common, u), S._mp_mul(common, w))
+
+
+def test_gcd_of_the_slow_prs_draw_finishes_in_a_subprocess():
+    # a subprocess, so a regression fails at the timeout instead of holding the run
+    common, u, w = _SLOW_PRS_DRAW
+    code = (
+        "from fractions import Fraction\n"
+        "from qweyl import scalar as S\n"
+        "common, u, w = %r, %r, %r\n"
+        "h = S._mp_gcd(S._mp_mul(common, u), S._mp_mul(common, w))[0]\n"
+        "print(len(h))\n" % (common, u, w)
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (r.returncode, r.stdout) == (0, "%d\n" % len(common))
 
 
 def test_gcd_tries_a_second_point_when_the_first_is_unlucky(monkeypatch):
