@@ -302,11 +302,15 @@ def word_pair(case: IdentityCase):
 
 
 def _residual_detail(rel: Relation, residual: NormalForm) -> str:
-    """Highlight a common (rho - 1) factor via an exact division probe."""
+    """Highlight a common (rho - 1) factor via an exact division probe.
+
+    A constant probe is a unit over Q, so it divides every residual and
+    highlights nothing.
+    """
     if rel.has_N or residual.is_zero():
         return ""
     probe = rel.rho - one
-    if probe.is_zero():
+    if probe.is_constant():
         return ""
     try:
         if all(c.numerator_divisible_by(probe) for _mono, c in residual.items()):

@@ -297,6 +297,49 @@ def _mp_divexact(f: dict, g: dict) -> dict:
     return out
 
 
+def _linear_root(f: dict) -> tuple[int, int | Fraction] | None:
+    """(idx, -beta/alpha) when f is alpha*v + beta for v = VAR_NAMES[idx] and
+    rational alpha != 0 and beta; None for any other term map."""
+    beta = f.get(KEY_ONE, 0)
+    if len(f) != 1 + bool(beta):
+        return None
+    for idx in range(len(VAR_NAMES)):
+        alpha = f.get(KEY_ONE + (1 << _SHIFTS[idx]))
+        if alpha is not None:
+            return idx, _coeff_norm(-Fraction(beta) / alpha)
+    return None
+
+
+def _mp_vanishes_at(f: dict, idx: int, root) -> bool:
+    """True when f is zero at variable idx = root, for a rational root.
+
+    Clears the variable's field from each key, weights each coefficient by
+    root^e for the term's exponent e of the variable, and sums per remaining
+    key.  A biased q field is read as its exponent, so f must carry no
+    negative power of q when idx is q's field.
+    """
+    shift = _SHIFTS[idx]
+    field = _FIELD_MASK << shift
+    off = KEY_ONE & field  # q's bias, or 0
+    sums: dict = {}
+    get = sums.get
+    if root == 1:
+        keep = ~field
+        for k, c in f.items():
+            rest = k & keep
+            sums[rest] = get(rest, 0) + c
+    else:
+        powers: dict = {}
+        for k, c in f.items():
+            kf = k & field
+            w = powers.get(kf)
+            if w is None:
+                w = powers[kf] = root ** ((kf - off) >> shift)
+            rest = k ^ kf
+            sums[rest] = get(rest, 0) + c * w
+    return not any(sums.values())
+
+
 def _den_lcm(f: dict) -> int:
     return math.lcm(*(v.denominator for v in f.values() if isinstance(v, Fraction)))
 
@@ -756,14 +799,28 @@ class Scalar:
         return bool((used >> _SHIFTS[VAR_NAMES.index(name)]) & _FIELD_MASK)
 
     def numerator_divisible_by(self, probe: "Scalar") -> bool:
-        """Exact-division test of the numerator by a polynomial probe."""
+        """Exact-division test of the numerator by a polynomial probe.
+
+        Laurent q powers are cleared from both sides first, since q-units
+        never block divisibility.  A probe alpha*v + beta, linear in one
+        variable v of VAR_NAMES with rational alpha != 0 and beta, is decided
+        by the factor theorem: it divides the numerator exactly when the
+        numerator vanishes at v = -beta/alpha, which one pass over its terms
+        decides (``_mp_vanishes_at``).  Every other probe goes through the
+        exact division ``_mp_divexact``.
+        """
         if probe.den != _MP_ONE or not probe.num:
             raise ScalarError("probe must be a nonzero polynomial")
         if not self.num:
             return True
-        # clear Laurent q powers on both sides; q-units never block divisibility
-        num = _mp_qclear(self.num)[0]
         div = _mp_qclear(probe.num)[0]
+        linear = _linear_root(div)
+        if linear is not None:
+            idx, root = linear
+            # clearing leaves no negative power of a root in q, so each weight is exact
+            num = _mp_qclear(self.num)[0] if idx == 1 else self.num
+            return _mp_vanishes_at(num, idx, root)
+        num = _mp_qclear(self.num)[0]
         try:
             _mp_divexact(num, div)
             return True

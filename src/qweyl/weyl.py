@@ -414,19 +414,26 @@ class NormalForm:
         Without both letters, no product of powers of x moves an a past a b,
         so squaring is cheap.  With both, even for a single term such as b*a,
         squaring reorders two large normal forms, which costs far more than
-        multiplying by x n times.  The base's largest exponents times n are
-        checked against the key range first, so a huge n is refused before
-        any work.
+        multiplying by x n times.  Since x*x^k = x^k*x, each factor comes in
+        from the side that moves fewer a's: reordering a^j b^i yields
+        min(j, i) + 1 terms, so x^k*x moves x^k's a-block across x's b's,
+        and x*x^k moves x's a's across x^k's b's.  The factor goes on the
+        left when x's largest a-exponent is below its largest b-exponent
+        (b^2*a - c*b: one a crosses each term), else on the right
+        (b*a^2 - c*a).  The base's largest exponents times n are checked
+        against the key range first, so a huge n is refused before any work.
         """
         if n < 0:
             raise ValueError("normal forms admit non-negative powers only")
-        if self.terms and n > 1:
-            j, m = _largest_j_m(self)
+        j, m = _largest_j_m(self) if self.terms else (0, 0)
+        if n > 1:
             _refuse_past_limit(j * n, m * n)
         out = self.rel.unit()
-        if any(k >> 40 for k in self.terms) and any(k & _MASK for k in self.terms):
+        i = max((k >> 40 for k in self.terms), default=0)
+        if i and j:
+            left = j < i
             for _ in range(n):
-                out = out * self
+                out = self * out if left else out * self
             return out
         base = self
         while n:

@@ -192,6 +192,14 @@ def test_thm4a_n1_residual_golden(rel):
     assert v.detail == "common factor: (p - 1)"
 
 
+@pytest.mark.parametrize("params", [dict(p=3), dict(p=0), dict(p=3, q=2)], ids=["p=3", "p=0", "p=3,q=2"])
+def test_constant_rho_minus_1_is_no_common_factor(params):
+    # rho - 1 = 2 or -1 is a unit over Q: it divides every residual and highlights nothing
+    v = verify(IdentityCase("THM4a", W.hq(**params), n=2))
+    assert v.status == "fail" and not v.residual.is_zero()
+    assert v.detail == ""
+
+
 @pytest.mark.parametrize("error, detail", [(RuntimeError, None), (ScalarError, "")])
 def test_residual_detail_catches_only_scalar_errors(rel, monkeypatch, error, detail):
     def probe(self, other):

@@ -363,6 +363,8 @@ def test_cli_expand():
 # and detail, whichever path (engine or Fock decision) settled the case
 PINNED_JSON = (
     (("suite", "--catalog", "errata", "--max-n", "2", "--format", "json", "--seed", "7"), 0, "82e7db5e9b77887c4a8935d9dfff7fb55782c8eaee6fe29d4941842b0a0674c4"),
+    # every THM4a/b and THM5 residual and its (p - 1) detail up to n = 8
+    (("suite", "--catalog", "errata", "--max-n", "8", "--format", "json"), 0, "1bd326a16d60ffc4cacdc325c7cc35585a6c01965954128fbefc68fd2dc28188"),
     (("suite", "--format", "json"), 0, "2cb58a415351ef2d32660b10bea944dc9034fe198900a5d95a94851513b0b51a"),
     (("suite", "--max-n", "6", "--params", "p=3,q=7", "--format", "json"), 0, "9dd86a7b262792654b064da7fb152ac5b248f7f2914855af037d1da9c9d3647d"),
     (("suite", "--params", "p=1,q=-1", "--format", "json"), 0, "97883c210e47f4e238b83d5a7d97379a9760ccf86e213080cdca1bcec8775a85"),
@@ -392,12 +394,14 @@ def test_cli_normalize_json_of_a_high_degree_quotient_byte_stable():
 
 
 # engine outputs pinned by sha256: long a-runs, long b-runs, an N on both sides of a^j b^i;
-# the degree-40 products multiply by long q-integer runs, the kernel's window sums
+# the degree-40 products multiply by long q-integer runs, the kernel's window sums;
+# the power of b^2*a - c*b multiplies its factors in from the left
 PINNED_NORMALIZE_JSON = (
     (("a^24*b^24",), "7b66382de15f97c3f4fe32a0defcd1607bf466c5a4e48b8c363f56e07e7d16a2"),
     (("(a*b)^16",), "ec9c2a2f896696603cdbcab15a91eae55e5aadd4af733a62745885eb212cf2e1"),
     (("a^40*b^40",), "2f6af0fcde7ea955d738b2888911b61cab40cb731053ed19d32d326d52095c47"),
     (("(a*b)^40",), "c71f9db31a3277bf4bede2629f38bca81c3a66db12a49f72c8837640b7b4e2ee"),
+    (("(b^2*a - (1+q+q^2)*p*b)^16",), "0fd503611ffa0af5b3bf3d32557a5c9126b87ed18b9f648cbc61d90d376d660a"),
     (("a^3000*b",), "5f3e1ae2d94108e6346aca6a5e034a0bd9c7ffd328ded86b6035adc75d43f501"),
     (("a*b^3000",), "e9d331db585641cda7646b1e4c0bb723aa88036c537c69bf98b13b5fdbfb4e36"),
     (("N^2*a^6*b^6*N^2", "--relation", "extended", "--F", "1+N+N^2"), "41d4f5b09bc794dce86da91ec939564537fc23062a80bc2d09b5f9b7db09b970"),

@@ -307,6 +307,57 @@ def test_divisible_by_p_minus_1_iff_numerator_vanishes_at_1(x, times):
     assert x.numerator_divisible_by(P - 1) == vanishes
 
 
+_LAURENT_KEYS = st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)).map(lambda e: S._pack(*e))
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(S._coeff_norm)
+
+
+def _divexact_succeeds(x: Scalar, probe: Scalar) -> bool:
+    try:
+        S._mp_divexact(S._mp_qclear(x.num)[0], S._mp_qclear(probe.num)[0])
+    except NotDivisibleError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_LAURENT_KEYS, _COEFFS, min_size=1, max_size=6),
+    st.sampled_from(S.VAR_NAMES),
+    _RATIONALS.filter(bool),
+    _RATIONALS,
+    st.booleans(),
+)
+# (q^-2 + q^-1 + A)*(q - 3): weights of negative powers of 3 would be inexact floats
+@example({S._pack(0, -2, 0, 0): 1, S._pack(0, -1, 0, 0): 1, S._pack(0, 0, 1, 0): 1}, "q", 1, -3, True)
+@example({S._pack(0, -2, 0, 0): 3, S._pack(0, 1, 1, 0): Fraction(1, 2)}, "q", 2, Fraction(-1, 3), True)
+@example({S._pack(1, -1, 0, 0): 1}, "p", 2, 0, False)
+def test_linear_probe_agrees_with_exact_division(f, v, alpha, beta, planted):
+    # alpha*v + beta is decided by evaluating at its root; exact division is the oracle
+    probe = alpha * Scalar.variable(v) + beta
+    x = Scalar(f) * probe if planted else Scalar(f)
+    assert x.numerator_divisible_by(probe) == _divexact_succeeds(x, probe)
+    if planted:
+        assert x.numerator_divisible_by(probe)
+
+
+def test_only_non_linear_probes_reach_exact_division(monkeypatch):
+    x = (P - 1) ** 2 * (P * Q - 1) * (Q**2 - 2) * (A + Q**-2) * (2 * Q + 3) * D
+    calls = []
+    divexact = S._mp_divexact
+    monkeypatch.setattr(S, "_mp_divexact", lambda f, g: calls.append(1) or divexact(f, g))
+    for probe, linear in (
+        ((P - 1) ** 2, False),
+        (P * Q - 1, False),
+        (Q**2 - 2, False),
+        (P - 1, True),
+        (2 * Q + 3, True),
+        (D / 2, True),
+    ):
+        calls.clear()
+        assert x.numerator_divisible_by(probe)
+        assert calls == ([] if linear else [1]), probe
+
+
 def test_uses_reads_each_field_of_numerator_and_denominator():
     x = A**2 / (1 + Q**-1)
     assert [x.uses(v) for v in S.VAR_NAMES] == [False, True, True, False]

@@ -184,6 +184,66 @@ def test_power_squares_only_a_base_that_never_reorders(make, monkeypatch):
     assert counts == {"ba": n, "2+a": 4, "b+q": 4}  # log2(n) squarings and one product
 
 
+_POWER_RELATIONS = {
+    "hq": hq,
+    "hq(3,7)": lambda: hq(3, 7),
+    "heisenberg": lambda: heisenberg(1 + Q, P),
+    "extended": lambda: extended(F=Poly1([1, 1, 1], "N")),
+}
+
+
+def _random_base(rel, rng, a_max, b_max):
+    """A sum of terms c*b^i*a^j (plus c*N under an extended relation) whose
+    largest a- and b-exponents are a_max and b_max."""
+    a, b = rel.gen("a"), rel.gen("b")
+
+    def c():
+        return random_rational(rng) * rng.choice((one, Q, P, P * Q**-1))
+
+    x = c() * b**b_max * a ** rng.randint(0, a_max - 1) + c() * b ** rng.randint(0, b_max - 1) * a**a_max
+    for _ in range(rng.randint(0, 2)):
+        x = x + c() * b ** rng.randint(0, b_max - 1) * a ** rng.randint(0, a_max - 1)
+    if rel.has_N:
+        x = x + c() * rel.gen("N")
+    assert (max(i for i, _m, _j in nf_terms(x)), max(j for _i, _m, j in nf_terms(x))) == (b_max, a_max)
+    return x
+
+
+@pytest.mark.parametrize("more", ["a", "b"])
+@pytest.mark.parametrize("make", list(_POWER_RELATIONS.values()), ids=list(_POWER_RELATIONS))
+def test_power_equals_the_product_taken_on_either_side(make, more):
+    # x^n multiplies its factors in from one side; x*x^k = x^k*x makes either side right
+    rng = random.Random("power-" + more)
+    rel = make()
+    for _ in range(3):
+        lo = rng.randint(1, 2)
+        hi = rng.randint(lo + 1, 3)
+        x = _random_base(rel, rng, *((hi, lo) if more == "a" else (lo, hi)))
+        n = rng.randint(2, 3 if rel.has_N else 4)  # a 4th power under F(N) takes seconds
+        left = right = rel.unit()
+        for _ in range(n):
+            left, right = x * left, right * x
+        assert x**n == left == right
+
+
+@pytest.mark.parametrize("base, letter, fewer", [("bba", "b", True), ("baa", "a", False)])
+def test_power_takes_fewer_kernel_calls_than_the_right_multiplied_loop(monkeypatch, base, letter, fewer):
+    # (b^2*a - [6]*b)^7 multiplies from the left, so one a crosses each term's b's;
+    # (b*a^2 - [6]*a)^7 multiplies from the right, as the explicit loop does
+    calls = []
+    mul = W._k.mpoly_mul
+    monkeypatch.setattr(W._k, "mpoly_mul", lambda *args: calls.append(1) or mul(*args))
+    counts, results = [], []
+    for power in (lambda x: x**7, lambda x: _factor_by_factor(x, 7)):
+        rel = hq()  # a fresh memo each
+        x = rel.word(base) - qnum(6) * rel.gen(letter)
+        calls.clear()
+        results.append(power(x))
+        counts.append(len(calls))
+    assert results[0] == results[1]
+    assert counts[0] < counts[1] if fewer else counts[0] <= counts[1]
+
+
 def test_extended_remainder_moves_only_nonzero_coefficients(monkeypatch):
     # F = N^40 + 2: a*b^i moves N^40 and the constant across b^(i-1), not the 39 zero powers between
     moved = []
