@@ -14,9 +14,10 @@ Multiplicative key composition is ``k1 + k2 - bias`` where ``bias`` is the
 key of the constant term (exponent offsets cancel that way).
 
 ``mpoly_mul`` multiplies by a run, equal coefficients at equal key steps
-such as the q-integers ``[j]_q`` in the engine's memo entries, as window sums
-of the other operand: ``len + output`` work instead of ``n * len`` products,
-forming only keys that schoolbook forms.  That path also subtracts
+such as the q-integers ``[j]_q`` in the engine's memo entries and the
+q-numbers ``{k}`` of the Jackson derivative ``Poly1.q_derivative``, as window
+sums of the other operand: ``len + output`` work instead of ``n * len``
+products, forming only keys that schoolbook forms.  That path also subtracts
 coefficients.
 """
 

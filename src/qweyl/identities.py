@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .reps import fock_matrix, fock_words_equal, hq_fock
+from .reps import fock_words_equal
 from .scalar import A, Poly1, Scalar, ScalarError, common_ratio, one, zero
 from .verdict import Verdict
 from .weyl import NormalForm, Relation, extended, hq
@@ -72,8 +72,6 @@ __all__ = [
     "sl2q_triple",
     "sl2q_solve",
     "Sl2qResult",
-    "annihilation_check",
-    "thm6_letter_swap_matches_thm5",
     "SuiteConfig",
     "CaseResult",
     "Report",
@@ -550,43 +548,6 @@ def _proportionality_residual(x: NormalForm, y: NormalForm):
     if len(mono) == 1 and mono[0][0] == (0, 0, 0):
         return mono[0][1]
     return diff
-
-
-def annihilation_check(n: int, variant: str = "as_stated", relation: Relation | None = None) -> Verdict:
-    """(j+)^(n+1) kills the span of 1, b, ..., b^n in the vacuum module."""
-    rel = relation if relation is not None else hq()
-    triple = sl2q_triple(rel, alpha=n, variant=variant)
-    op = triple.jplus ** (n + 1)
-    L = 3 * (n + 1) + n + 2
-    mat = fock_matrix(op, hq_fock(rel.rho, rel.sigma, L))
-    bad = []
-    for col in range(n + 1):
-        column = mat.column(col)
-        if column:
-            bad.append((col, {r: v.compact() for r, v in column.items()}))
-    return Verdict("pass" if not bad else "fail", bad or None)
-
-
-# --- structural comparison of the two ladder theorems -----------------------------------
-
-
-def thm6_letter_swap_matches_thm5(n: int) -> bool:
-    """THM6 at F = 1, sigma = p has THM5's term structure with q renamed to p.
-
-    THM5 is instantiated at rho = 1 so both remainders are the unit.
-    """
-    rel5 = hq(p=1)
-    lhs5, rhs5 = build(IdentityCase("THM5", rel5, n=n))
-    rel6 = extended()  # sigma = p, F = 1, tau = q
-    lhs6, rhs6 = build(IdentityCase("THM6", rel6, n=n))
-
-    def swap(x: NormalForm) -> dict:
-        return {mono: c.rename_variable("q", "p") for mono, c in x.items()}
-
-    def plain(x: NormalForm) -> dict:
-        return dict(x.items())
-
-    return swap(lhs5) == plain(lhs6) and swap(rhs5) == plain(rhs6)
 
 
 # --- suite runner ----------------------------------------------------------------------------

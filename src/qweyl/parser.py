@@ -18,16 +18,15 @@ MAX_NESTING levels deep; long flat sums and products have no such limit.
 Statements layer on top of expressions:
 
     normalize EXPR
-    verify EXPR == EXPR        (a bare EXPR == EXPR also verifies)
+    verify EXPR == EXPR
     expand EXPR
-    with NAME=RATIONAL, ...    (parameter bindings for later statements)
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import NotExpressibleError, expand_in_ab_powers
@@ -44,9 +43,7 @@ __all__ = [
     "Statement",
     "parse_bindings",
     "parse_statement",
-    "parse_script",
     "run_statement",
-    "run_script",
 ]
 
 
@@ -363,9 +360,11 @@ def eval_npoly(ast) -> Poly1:
 
 @dataclass
 class Statement:
-    kind: str  # normalize | verify | expand | with
-    exprs: tuple = ()
-    bindings: dict = field(default_factory=dict)
+    kind: str  # normalize | verify | expand
+    exprs: tuple
+
+
+_STATEMENTS = ("normalize", "verify", "expand")
 
 
 def _position(text: str, i: int, line: int, col: int) -> tuple[int, int]:
@@ -381,18 +380,14 @@ def parse_statement(text: str, line: int = 1, col: int = 1) -> Statement:
     start = len(text) - len(text.lstrip())
     stripped = text.strip()
     head = stripped.split(None, 1)[0] if stripped else ""
-    if head == "with":
-        return Statement("with", (), parse_bindings(stripped[len("with") :], *_position(text, start, line, col)))
-    if head in ("normalize", "expand", "verify"):
-        # the expression starts after the keyword and its blank, even when empty
-        body_at = _position(text, start + len(head) + 1, line, col)
-        body = stripped[len(head) + 1 :]
-        if head == "verify":
-            return _parse_verify(body, *body_at)
-        return Statement(head, (parse(body, *body_at),))
-    if "==" in stripped:
-        return _parse_verify(stripped, *_position(text, start, line, col))
-    return Statement("normalize", (parse(stripped, *_position(text, start, line, col)),))
+    if head not in _STATEMENTS:
+        raise ParseError("a statement starts with normalize, verify or expand", *_position(text, start, line, col), _STATEMENTS)
+    # the expression starts after the keyword and its blank, even when empty
+    body_at = _position(text, start + len(head) + 1, line, col)
+    body = stripped[len(head) + 1 :]
+    if head == "verify":
+        return _parse_verify(body, *body_at)
+    return Statement(head, (parse(body, *body_at),))
 
 
 def _parse_verify(body: str, line: int, col: int) -> Statement:
@@ -402,41 +397,26 @@ def _parse_verify(body: str, line: int, col: int) -> Statement:
     return Statement("verify", (parse(left, line, col), parse(right, *_position(body, len(left) + 2, line, col))))
 
 
-def parse_bindings(text: str, line: int = 1, col: int = 1) -> dict:
-    """``NAME=RATIONAL, ...`` as written in with-clauses and ``--params``.
+def parse_bindings(text: str) -> dict:
+    """``NAME=RATIONAL, ...`` as written in ``--params``.
 
     NAME is one of p, q, A, d; RATIONAL is anything ``Fraction`` reads.  A
-    malformed binding is reported at (line, col), where the clause starts.
+    malformed binding is reported at line 1, column 1, where the list starts.
     """
     bindings = {}
     for piece in text.split(","):
-        piece = piece.strip().rstrip(":")
+        piece = piece.strip()
         if not piece:
             continue
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep or name not in _SYM:
-            raise ParseError("a binding is NAME=RATIONAL with NAME one of p, q, A, d", line, col, set(_SYM))
+            raise ParseError("a binding is NAME=RATIONAL with NAME one of p, q, A, d", 1, 1, set(_SYM))
         try:
             bindings[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ParseError("binding value must be rational", line, col, {"rational"}) from None
+            raise ParseError("binding value must be rational", 1, 1, {"rational"}) from None
     return bindings
-
-
-def parse_script(text: str) -> list[Statement]:
-    """Newline/semicolon separated statements; blank ones are skipped.
-
-    Error positions are the script's line and the column within that line.
-    """
-    out = []
-    for line, text_line in enumerate(text.splitlines(), 1):
-        col = 1
-        for chunk in text_line.split(";"):
-            if chunk.strip():
-                out.append(parse_statement(chunk, line, col))
-            col += len(chunk) + 1
-    return out
 
 
 def run_statement(stmt: Statement, rel: Relation, bindings: dict) -> dict:
@@ -461,18 +441,3 @@ def run_statement(stmt: Statement, rel: Relation, bindings: dict) -> dict:
         return {"kind": "expand", "status": "fail", "result": str(exc)}
     coeffs = [c.text() if hasattr(c, "text") else c.compact() for c in exp.coeffs]
     return {"kind": "expand", "status": "pass", "result": coeffs}
-
-
-def run_script(text: str, rel: Relation) -> list[dict]:
-    """Execute a statement sequence; with-clauses bind parameters for the rest.
-
-    Each non-with statement yields one ``run_statement`` row.
-    """
-    bindings: dict = {}
-    rows: list[dict] = []
-    for stmt in parse_script(text):
-        if stmt.kind == "with":
-            bindings.update(stmt.bindings)
-        else:
-            rows.append(run_statement(stmt, rel, bindings))
-    return rows

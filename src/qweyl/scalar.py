@@ -944,17 +944,6 @@ class Scalar:
     def substitute(self, bindings: dict) -> "Scalar":
         return substitute(self, bindings)
 
-    def rename_variable(self, src: str, dst: str) -> "Scalar":
-        """Rename variable src to dst; dst must be absent from the value.
-
-        Renaming q is a binding of q, so it is refused while A is present.
-        """
-        if src == dst:
-            return self
-        if self.uses(dst):
-            raise SubstitutionError("target variable %s already present" % dst)
-        return substitute(self, {src: Scalar.variable(dst)})
-
     # -- rendering -----------------------------------------------------------
 
     def canonical(self) -> str:
@@ -1305,39 +1294,21 @@ class Poly1:
     def q_derivative(self) -> "Poly1":
         """The Jackson derivative: X^k -> {k} X^(k-1), {k} = 1 + q + ... + q^(k-1).
 
-        Keys equal but in q form a q-line, which has one X exponent k.  The
-        image of a line is the running sum of its coefficients over windows
-        of k powers of q, so one walk over the sorted keys and the window
-        ends writes each output term once.  A window end is only compared,
-        never made a key: it may lie past the q field.
+        The terms of X degree k are one kernel product with the run
+        {k} X^-1, which the kernel takes as window sums once it is long
+        enough.  Parts of different degree land on different X degrees, so
+        their products are joined, never added.
         """
-        lines: dict = {}
-        qmask = _FIELD_MASK << _SHIFTS[1]
+        parts: dict = {}
+        shift = _SHIFTS[_X]
         for k, v in self.value.num.items():
             if k >= X_UNIT:
-                lines.setdefault(k & ~qmask, []).append((k - X_UNIT, v))
+                parts.setdefault(k >> shift, {})[k] = v
         out: dict = {}
-        for terms in lines.values():
-            width = ((terms[0][0] >> _SHIFTS[_X]) + 1) * Q_UNIT  # k powers of q for X^(k-1)
-            if len(terms) == 1:
-                [(low, v)] = terms
-                out.update(dict.fromkeys(range(low, low + width, Q_UNIT), v))
-                continue
-            terms.sort()
-            n, pos, total = len(terms), terms[0][0], 0
-            i = j = 0  # the terms whose window starts next and ends next
-            while j < n:
-                end = terms[j][0] + width
-                nxt = terms[i][0] if i < n and terms[i][0] < end else end
-                if total:
-                    out.update(dict.fromkeys(range(pos, nxt, Q_UNIT), total))
-                pos = nxt
-                if i < n and terms[i][0] == nxt:
-                    total += terms[i][1]
-                    i += 1
-                if end == nxt:
-                    total -= terms[j][1]
-                    j += 1
+        low = KEY_ONE - X_UNIT
+        for deg, part in parts.items():
+            run = dict.fromkeys(range(low, low + deg * Q_UNIT, Q_UNIT), 1)
+            out.update(_k.mpoly_mul(run, part, KEY_ONE))
         return Poly1._of(self._over_den(_mp_checked(out)), self.var)
 
     def mul_x(self) -> "Poly1":

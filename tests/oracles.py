@@ -19,7 +19,8 @@ two words that the engine normal-orders letter by letter.
 
 ``q_derivative_per_term`` is the Jackson derivative term by term: each key
 adds its coefficient to every key of its q-number, one at a time, where
-``Poly1.q_derivative`` walks running sums along q.
+``Poly1.q_derivative`` multiplies each X degree by its q-number in one
+kernel product.
 
 ``fock_words_equal_per_level`` and ``fock_word_matrix_per_level`` apply a
 word to each basis vector |n> letter by letter and multiply the s_k of the
@@ -32,9 +33,11 @@ from collections import Counter
 from fractions import Fraction
 
 from qweyl import scalar as S
-from qweyl.reps import FockMatrix, ParameterMismatchError, fock_word_matrix, hq_fock
+from qweyl.identities import IdentityCase, build, sl2q_triple
+from qweyl.reps import FockMatrix, ParameterMismatchError, fock_matrix, fock_word_matrix, hq_fock
 from qweyl.scalar import P, Q, Poly1, one, zero
-from qweyl.weyl import commutator
+from qweyl.verdict import Verdict
+from qweyl.weyl import commutator, extended, hq
 
 _RANK = {"b": 0, "N": 1, "a": 2}
 
@@ -322,3 +325,37 @@ def fock_matrix_per_level(x, rep):
     for (i, _m, j), c in x.items():
         total = total + fock_word_matrix_per_level("b" * i + "a" * j, rep, c)
     return total
+
+
+def annihilation_check(n, variant="as_stated", relation=None):
+    """(j+)^(n+1) kills the span of 1, b, ..., b^n in the vacuum module."""
+    rel = relation if relation is not None else hq()
+    triple = sl2q_triple(rel, alpha=n, variant=variant)
+    op = triple.jplus ** (n + 1)
+    L = 3 * (n + 1) + n + 2
+    mat = fock_matrix(op, hq_fock(rel.rho, rel.sigma, L))
+    bad = []
+    for col in range(n + 1):
+        column = mat.column(col)
+        if column:
+            bad.append((col, {r: v.compact() for r, v in column.items()}))
+    return Verdict("pass" if not bad else "fail", bad or None)
+
+
+def thm6_letter_swap_matches_thm5(n):
+    """THM6 at F = 1, sigma = p has THM5's term structure with q renamed to p.
+
+    THM5 is instantiated at rho = 1 so both remainders are the unit.  The
+    renaming is the substitution q = p, on coefficients free of p.
+    """
+    lhs5, rhs5 = build(IdentityCase("THM5", hq(p=1), n=n))
+    lhs6, rhs6 = build(IdentityCase("THM6", extended(), n=n))  # sigma = p, F = 1, tau = q
+
+    def swap(x):
+        assert not any(c.uses("p") for _mono, c in x.items())
+        return {mono: c.substitute({"q": P}) for mono, c in x.items()}
+
+    def plain(x):
+        return dict(x.items())
+
+    return swap(lhs5) == plain(lhs6) and swap(rhs5) == plain(rhs6)

@@ -12,15 +12,21 @@ import sys
 import time
 from contextlib import contextmanager
 
-from qweyl import identities as I
 from qweyl import parser as P
 from qweyl import reps as R
 from qweyl import weyl as W
-from qweyl.identities import IdentityCase, annihilation_check, expand_in_ab_powers, sl2q_solve, sl2q_triple, verify
+from qweyl.identities import IdentityCase, expand_in_ab_powers, sl2q_solve, sl2q_triple, verify
 from qweyl.scalar import A, P as SP, Poly1, Q, one
 
 from catalog_cases import criterion_3_cases
-from oracles import ab_power_sum_matrix, random_rational, random_word, thm4a_matrix_residual
+from oracles import (
+    ab_power_sum_matrix,
+    annihilation_check,
+    random_rational,
+    random_word,
+    thm4a_matrix_residual,
+    thm6_letter_swap_matches_thm5,
+)
 
 
 @contextmanager
@@ -125,7 +131,7 @@ def test_criterion_7_extended_ladder():
         f1 = W.extended()  # sigma = p, F = 1, tau = q
         for n in range(1, 5):
             assert verify(IdentityCase("THM6", f1, n=n)).passed, n
-            assert I.thm6_letter_swap_matches_thm5(n), n
+            assert thm6_letter_swap_matches_thm5(n), n
         sl2 = W.extended(sigma=1, F=Poly1([0, 2], "N"), tau=1)
         for n in range(1, 4):
             assert verify(IdentityCase("THM6", sl2, n=n)).passed, n

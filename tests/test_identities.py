@@ -15,19 +15,24 @@ from qweyl.identities import (
     NotExpressibleError,
     SuiteConfig,
     UnsupportedCaseError,
-    annihilation_check,
     build,
     expand_in_ab_powers,
     sl2q_solve,
     sl2q_triple,
     solve_scalar_factor,
     suite,
-    thm6_letter_swap_matches_thm5,
     verify,
 )
 from qweyl.scalar import A, P, Poly1, Q, Scalar, ScalarError, one, zero
 
-from oracles import ab_power_sum_matrix, random_rational, thm4a_matrix_residual, word_identity_residual
+from oracles import (
+    ab_power_sum_matrix,
+    annihilation_check,
+    random_rational,
+    thm4a_matrix_residual,
+    thm6_letter_swap_matches_thm5,
+    word_identity_residual,
+)
 
 
 @pytest.fixture(scope="module")

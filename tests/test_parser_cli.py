@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qweyl import cli
 from qweyl import parser as P
 from qweyl import weyl as W
-from qweyl.parser import EvalError, ParseError, eval_npoly, eval_scalar, evaluate, parse, parse_script, parse_statement
+from qweyl.parser import EvalError, ParseError, eval_npoly, eval_scalar, evaluate, parse, parse_bindings, parse_statement
 from qweyl.scalar import Poly1, Scalar, qnum
 
 from oracles import ab_power_ordering
@@ -179,80 +179,65 @@ def test_statement_forms():
     assert parse_statement("normalize a*b").kind == "normalize"
     st_ = parse_statement("verify (a*b*a)^2 == a^2*b^2*a^2")
     assert st_.kind == "verify" and len(st_.exprs) == 2
-    assert parse_statement("a*b == b*a").kind == "verify"
     assert parse_statement("expand a^2*b^2").kind == "expand"
-    w = parse_statement("with p=1, q=2/3")
-    assert w.bindings == {"p": Fraction(1), "q": Fraction(2, 3)}
-    w = parse_statement("with d=-1/2")
-    assert w.bindings == {"d": Fraction(-1, 2)}
 
 
 def test_statement_rejects_bad_bindings():
     with pytest.raises(ParseError):
-        parse_statement("with x=1")
+        parse_bindings("x=1")
     with pytest.raises(ParseError):
-        parse_statement("with p=oops")
+        parse_bindings("p=oops")
     with pytest.raises(ParseError):
-        parse_statement("with p=1/0")
+        parse_bindings("p=1/0")
     with pytest.raises(ParseError):
-        parse_statement("with p=--2")
+        parse_bindings("p=--2")
+    with pytest.raises(ParseError):
+        parse_bindings("p=1:")
     with pytest.raises(ParseError):
         parse_statement("verify a*b")
 
 
-def test_parse_script():
-    script = parse_script("with p=1\nverify a*b == q*b*a + 1; normalize a*b*b")
-    assert [s.kind for s in script] == ["with", "verify", "normalize"]
-
-
-def test_run_script():
-    rows = P.run_script(
-        "with p=1\n"
-        "verify a*b == q*b*a + 1\n"
-        "normalize a*b\n"
-        "with q=1\n"
-        "verify a*b == b*a + 1\n"
-        "expand b*a\n"
-        "verify a*b == b*a",
-        W.hq(),
-    )
+def test_run_statement_under_bindings():
+    p1, pq1 = {"p": Fraction(1)}, {"p": Fraction(1), "q": Fraction(1)}
+    rows = [
+        P.run_statement(parse_statement(text), W.hq(), bindings)
+        for text, bindings in (
+            ("verify a*b == q*b*a + 1", p1),
+            ("normalize a*b", p1),
+            ("verify a*b == b*a + 1", pq1),
+            ("expand b*a", pq1),
+            ("verify a*b == b*a", pq1),
+        )
+    ]
     assert [r["kind"] for r in rows] == ["verify", "normalize", "verify", "expand", "verify"]
     assert [r["status"] for r in rows] == ["pass", "pass", "pass", "pass", "fail"]
     assert rows[1]["result"] == "q*b*a + 1"
     assert rows[3]["result"] == ["-1", "1"]  # ba = (ab - 1)/1 at p=q=1
 
 
-def test_run_script_zero_denominator_is_parse_error():
-    # Fraction(1, 0) raised a bare ZeroDivisionError
-    with pytest.raises(ParseError, match="zero denominator in '1/0'") as err:
-        P.run_script("normalize a\nnormalize 1/0", W.hq())
-    assert (err.value.line, err.value.col) == (2, 11)
-
-
-def test_run_script_long_literal_is_parse_error():
-    # int() raised CPython's ValueError, which names sys.set_int_max_str_digits()
-    with pytest.raises(ParseError, match="integer literal too long") as err:
-        P.run_script("with p=1\nverify a*b == q*b*a + 3/" + "7" * 5000, W.hq())
-    assert (err.value.line, err.value.col) == (2, 25)  # the denominator
-
-
 @pytest.mark.parametrize(
-    "script, line, col",
+    "text, at, where, message",
     [
-        ("normalize a\nnormalize a^^2", 2, 13),
-        ("normalize a; normalize a^^2", 1, 26),  # a statement after ';' keeps its line's columns
-        ("\n\n  verify a == b^^2", 3, 17),
-        ("with p=1; a*b == (b", 1, 20),  # a bare verify, at the end of input
-        ("normalize a\n verify a*b", 2, 11),  # no '==': the statement's last character
-        ("normalize a\n  a $ b", 2, 5),
-        ("normalize a\nnormalize b;  with p=--2", 2, 15),  # a bad binding: where its with-clause starts
+        ("normalize a^^2", (2, 1), (2, 13), "unexpected '\\^'"),
+        (" normalize a^^2", (1, 13), (1, 26), "unexpected '\\^'"),  # a statement cut from a longer line
+        ("\n\n  verify a == b^^2", (1, 1), (3, 17), "unexpected '\\^'"),  # lines counted from its newlines
+        ("verify a*b == (b", (1, 1), (1, 17), "unexpected 'end of input'"),
+        (" verify a*b", (2, 1), (2, 11), "verify needs '=='"),  # no '==': the statement's last character
+        ("  normalize a $ b", (2, 1), (2, 15), "unexpected character '\\$'"),
+        ("a*b == b*a", (1, 1), (1, 1), "a statement starts with normalize, verify or expand"),
+        # Fraction(1, 0) raised a bare ZeroDivisionError
+        ("normalize 1/0", (2, 1), (2, 11), "zero denominator in '1/0'"),
+        # int() raised CPython's ValueError, which names sys.set_int_max_str_digits(); here at the denominator
+        ("verify a*b == q*b*a + 3/" + "7" * 5000, (2, 1), (2, 25), "integer literal too long"),
     ],
+    ids=("second-line", "mid-line", "leading-newlines", "end-of-input", "no-equals", "bad-character",
+         "no-keyword", "zero-denominator", "long-literal"),
 )
-def test_script_errors_name_script_positions(script, line, col):
-    with pytest.raises(ParseError) as err:
-        P.parse_script(script)
-    assert (err.value.line, err.value.col) == (line, col)
-    assert str(err.value).endswith("at line %d, column %d" % (line, col))
+def test_statement_errors_name_their_positions(text, at, where, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_statement(text, *at)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith("at line %d, column %d" % where)
 
 
 def test_statement_errors_count_from_the_statement():
@@ -373,6 +358,7 @@ PINNED_JSON = (
     (("rep-check", "--n", "4", "--format", "json"), 0, "f7b7f9957499310dcb700667d503745dfb454a6e72d1d669a0adf2c67bf22d8c"),
     (("rep-check", "--degree", "16", "--format", "json"), 0, "a19ac93d2ceaf0f0f2c899e4d5ecfdc27fb3fcb07dca7280bef88c970cf93b69"),
     (("rep-check", "--n", "6", "--format", "json"), 0, "a63e81306007d8f80f1869f886f0893f96fd9462fbc19fbb0c90403e1b31dae8"),
+    (("rep-check", "--degree", "80", "--format", "json"), 0, "5c9861d4556b6d71ea567ca9fd7a5d5c470b264d60fd33718347c4242f386a37"),
 )
 
 
@@ -503,6 +489,7 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, args):
         ("normalize", "a*b", "--params", "p=1/0"),
         ("suite", "--catalog", "core", "--params", "p=1/0"),
         ("normalize", "a*b", "--params", "p=--2"),
+        ("normalize", "a*b", "--params", "p=1:"),
         # unknown suite filters are input errors of the same kind (were exit 3, and exit 0 with no cases)
         ("suite", "--catalog", "core", "--ids", "BOGUS"),
         ("suite", "--catalog", "errata", "--variants", "bogus"),

@@ -201,19 +201,6 @@ def test_partial_substitution_keeps_symbols():
     assert substitute(x, {"p": 2}) == Scalar.of(2) * Q + D
 
 
-def test_rename_variable():
-    x = Q**2 + Q + 1
-    assert x.rename_variable("q", "p") == P**2 + P + 1
-    with pytest.raises(SubstitutionError):
-        (P + Q).rename_variable("q", "p")
-
-
-def test_rename_q_refused_while_alpha_present():
-    # renaming q binds q, and A = q^alpha depends on q
-    with pytest.raises(SubstitutionError, match="bind A"):
-        ((one - A) / (one - Q)).rename_variable("q", "p")
-
-
 # --- canonical form properties -----------------------------------------------
 
 
@@ -483,7 +470,7 @@ _JACKSON_KEYS = st.builds(
     st.integers(0, 1),
     st.integers(-3, 6) | st.sampled_from((400000, 400003)),
     st.integers(0, 1),
-    st.integers(0, 6),
+    st.integers(0, 9),
     st.integers(0, 2),
 )
 _JACKSON_DENS = (None, (1 + P + A).num, (2 * P - A**2 + Fraction(1, 3)).num)
@@ -498,6 +485,15 @@ _JACKSON_DENS = (None, (1 + P + A).num, (2 * P - A**2 + Fraction(1, 3)).num)
 @example({S._pack(0, e, 0, 0, 4): 1 for e in range(-3, 7)}, None)  # a dense line, windows overlapping
 @example({S._pack(0, e, 0, 0, 2): (-1) ** e for e in range(6)}, _JACKSON_DENS[1])  # running sums cancel
 @example({S._pack(1, 2, 1, 0, 5, 1): -1, S._pack(0, 2, 0, 0, 1, 2): 3}, _JACKSON_DENS[2])  # single-key lines with Y
+# parts with at least as many terms as their q-number take the kernel's window sums
+@example(
+    {S._pack(ep, eq, ea, 0, 8, ey): (-1) ** eq * (ep + 1) for ep in (0, 1) for eq in (0, 3, 9) for ea in (0, 1) for ey in (0, 2)},
+    _JACKSON_DENS[1],
+)  # degree 8 over the p, A and Y fields: lines of overlapping windows, spans 2^21 powers of q apart
+@example({S._pack(0, e, 0, 0, 7): e or 5 for e in range(-6, 3)}, None)  # Laurent q
+@example(
+    {S._pack(0, e, 0, 0, 9): 2 for e in (0, 1, 2, 5, 400000, 400003, _LIMIT - 12, _LIMIT - 9, _LIMIT - 8)}, None
+)  # near q^400000, and a last window whose end lies past the q field
 def test_q_derivative_matches_the_per_term_sum(num, den):
     f = Poly1._of(Scalar(num, den) if num else zero, "x")
     assert f.q_derivative() == q_derivative_per_term(f)
